@@ -32,7 +32,6 @@ from .errors import (
 from .graph import (
     Cycle,
     DirectedGraph,
-    Path,
     cycle_base,
     cycle_from_edges,
     cycle_vertices,
@@ -42,11 +41,8 @@ from .graph import (
     is_entrance_free,
     is_hereditary,
     is_saturated_hereditary,
-    path_from_edges,
     reachable_ranges,
-    saturate,
     saturated_hereditary_closure,
-    subgraph_without,
     validate,
 )
 from .lattice import (
@@ -71,20 +67,7 @@ from .lattice import (
     pair_leq,
     pair_meet,
     prim_to_pair,
-    vertices_in_ideal,
     zero_ideal,
-)
-from .oracle import (
-    OracleReport,
-    brute_maximal_tails,
-    brute_saturated_hereditary,
-    check_closure_coherence,
-    check_lattice_laws,
-    random_angle,
-    random_graph,
-    random_ideal_pair,
-    random_primitive,
-    random_proper_open_set,
 )
 from .tails import (
     MaximalTail,
@@ -96,4 +79,100 @@ from .tails import (
     tail_sort_key,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the oracle loads on first use of one of its names, so that importing
+# the package (and every command but ``oracle``) stays cheap
+_ORACLE_NAMES = {
+    "OracleReport",
+    "brute_maximal_tails",
+    "brute_saturated_hereditary",
+    "check_closure_coherence",
+    "check_lattice_laws",
+    "random_angle",
+    "random_graph",
+    "random_ideal_pair",
+    "random_primitive",
+    "random_proper_open_set",
+}
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = [
+    "Angle",
+    "ClosedCircleSet",
+    "OpenCircleSet",
+    "as_angle",
+    "finite_closed_set",
+    "format_angle",
+    "punctured_circle",
+    "DanglingEndpointError",
+    "EmptyGraphError",
+    "GraphAlgebraError",
+    "InternalInvariantViolation",
+    "MalformedHullError",
+    "NotACycleError",
+    "NotAMaximalTailError",
+    "NotHereditaryError",
+    "SourceVertexError",
+    "TooLargeError",
+    "UnknownVertexError",
+    "Cycle",
+    "DirectedGraph",
+    "cycle_base",
+    "cycle_from_edges",
+    "cycle_vertices",
+    "entrance_free_cycles",
+    "enumerate_saturated_hereditary",
+    "hereditary_closure",
+    "is_entrance_free",
+    "is_hereditary",
+    "is_saturated_hereditary",
+    "reachable_ranges",
+    "saturated_hereditary_closure",
+    "validate",
+    "STRATUM_CIRCLE",
+    "STRATUM_POINT",
+    "Hull",
+    "HullEntry",
+    "IdealPair",
+    "PrimitiveIdeal",
+    "as_primitive",
+    "closure_contains",
+    "contained_in_prim",
+    "enumerate_primitive_strata",
+    "gauge_ideal",
+    "hull",
+    "hull_to_pair",
+    "ideal_pair",
+    "improper_ideal",
+    "is_gauge_invariant",
+    "meet_of_primitives",
+    "pair_join",
+    "pair_leq",
+    "pair_meet",
+    "prim_to_pair",
+    "zero_ideal",
+    "MaximalTail",
+    "classify_tail",
+    "enumerate_maximal_tails",
+    "is_maximal_tail",
+    "strongly_connected_components",
+    "tail_of_cycle",
+    "tail_sort_key",
+    "OracleReport",
+    "brute_maximal_tails",
+    "brute_saturated_hereditary",
+    "check_closure_coherence",
+    "check_lattice_laws",
+    "random_angle",
+    "random_graph",
+    "random_ideal_pair",
+    "random_primitive",
+    "random_proper_open_set",
+]

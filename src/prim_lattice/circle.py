@@ -15,18 +15,25 @@ unmergeable and sorted by start, so structural equality is set equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
+
+from .record import Record, set_field
 
 Angle = Fraction
 
 ONE = Fraction(1)
 
+# what ``Fraction`` raises for ``"1/0"`` and for infinite floats
+_NOT_FINITE = (ZeroDivisionError, OverflowError)
+
 
 def as_angle(value) -> Fraction:
     """Coerce a fraction, integer or ``p/q`` string onto the circle."""
-    return Fraction(value) % 1
+    try:
+        return Fraction(value) % 1
+    except _NOT_FINITE as err:
+        raise ValueError(f"angle {value} is not a finite rational") from err
 
 
 def format_angle(angle: Fraction) -> str:
@@ -36,7 +43,12 @@ def format_angle(angle: Fraction) -> str:
 def _normalise_open(raw) -> tuple[tuple, bool]:
     segments = []
     for a, b in raw:
-        a, b = Fraction(a), Fraction(b)
+        try:
+            a, b = Fraction(a), Fraction(b)
+        except _NOT_FINITE as err:
+            raise ValueError(
+                f"open arc ({a}, {b}) has an endpoint that is not a finite rational"
+            ) from err
         length = b - a
         if length <= 0:
             raise ValueError(f"open arc ({a}, {b}) has no interior")
@@ -71,7 +83,12 @@ def _normalise_open(raw) -> tuple[tuple, bool]:
 def _normalise_closed(raw_arcs, raw_points) -> tuple[tuple, tuple, bool]:
     segments = []
     for a, b in raw_arcs:
-        a, b = Fraction(a), Fraction(b)
+        try:
+            a, b = Fraction(a), Fraction(b)
+        except _NOT_FINITE as err:
+            raise ValueError(
+                f"closed arc ({a}, {b}) has an endpoint that is not a finite rational"
+            ) from err
         length = b - a
         if length < 0:
             raise ValueError(f"closed arc ({a}, {b}) runs backwards")
@@ -80,7 +97,7 @@ def _normalise_closed(raw_arcs, raw_points) -> tuple[tuple, tuple, bool]:
         start = a % 1
         segments.append((start, start + length))
     for p in raw_points:
-        p = Fraction(p) % 1
+        p = as_angle(p)
         segments.append((p, p))
     if not segments:
         return (), (), False
@@ -107,20 +124,23 @@ def _normalise_closed(raw_arcs, raw_points) -> tuple[tuple, tuple, bool]:
     return arcs, points, False
 
 
-@dataclass(frozen=True)
-class OpenCircleSet:
+class OpenCircleSet(Record):
     """An open subset of the circle in canonical arc form."""
 
-    arcs: tuple = ()
-    is_full: bool = False
+    __slots__ = ("arcs", "is_full")
 
-    def __post_init__(self):
-        if self.is_full:
-            arcs, full = (), True
+    def __init__(self, arcs: tuple = (), is_full: bool = False):
+        self.__post_init__(arcs, is_full)
+
+    def __post_init__(self, arcs, is_full):
+        # canonical form is computed here rather than in __init__ so that
+        # perfbench/spans.py can time construction by wrapping this method
+        if is_full:
+            arcs, is_full = (), True
         else:
-            arcs, full = _normalise_open(self.arcs)
-        object.__setattr__(self, "arcs", arcs)
-        object.__setattr__(self, "is_full", full)
+            arcs, is_full = _normalise_open(arcs)
+        set_field(self, "arcs", arcs)
+        set_field(self, "is_full", is_full)
 
     @classmethod
     def empty(cls) -> "OpenCircleSet":
@@ -195,22 +215,23 @@ class OpenCircleSet:
         return frozenset(e % 1 for arc in self.arcs for e in arc)
 
 
-@dataclass(frozen=True)
-class ClosedCircleSet:
+class ClosedCircleSet(Record):
     """A closed subset of the circle: disjoint closed arcs plus points."""
 
-    arcs: tuple = ()
-    points: tuple = ()
-    is_full: bool = False
+    __slots__ = ("arcs", "points", "is_full")
 
-    def __post_init__(self):
-        if self.is_full:
-            arcs, points, full = (), (), True
+    def __init__(self, arcs: tuple = (), points: tuple = (), is_full: bool = False):
+        self.__post_init__(arcs, points, is_full)
+
+    def __post_init__(self, arcs, points, is_full):
+        # see OpenCircleSet.__post_init__
+        if is_full:
+            arcs, points, is_full = (), (), True
         else:
-            arcs, points, full = _normalise_closed(self.arcs, self.points)
-        object.__setattr__(self, "arcs", arcs)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "is_full", full)
+            arcs, points, is_full = _normalise_closed(arcs, points)
+        set_field(self, "arcs", arcs)
+        set_field(self, "points", points)
+        set_field(self, "is_full", is_full)
 
     @classmethod
     def empty(cls) -> "ClosedCircleSet":

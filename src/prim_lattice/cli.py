@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 from . import jsonio
@@ -25,14 +24,6 @@ from .lattice import (
     pair_join,
     pair_leq,
     pair_meet,
-)
-from .oracle import (
-    brute_maximal_tails,
-    brute_saturated_hereditary,
-    check_closure_coherence,
-    check_lattice_laws,
-    random_ideal_pair,
-    random_primitive,
 )
 from .tails import enumerate_maximal_tails
 
@@ -169,6 +160,18 @@ def _cmd_gauge_lattice(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    # only this command needs the oracle, so other commands start without it
+    import random
+
+    from .oracle import (
+        brute_maximal_tails,
+        brute_saturated_hereditary,
+        check_closure_coherence,
+        check_lattice_laws,
+        random_ideal_pair,
+        random_primitive,
+    )
+
     graph = _graph(args)
     rng = random.Random(args.seed)
     checks = {}

@@ -22,17 +22,17 @@ else in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import total_ordering
 from typing import Iterable, Mapping
 
 from .errors import (
     DanglingEndpointError,
     EmptyGraphError,
     NotACycleError,
-    NotHereditaryError,
     SourceVertexError,
     UnknownVertexError,
 )
+from .record import Record, set_field
 
 VertexSet = frozenset
 
@@ -165,18 +165,6 @@ def _saturation_fixpoint(graph: DirectedGraph, start: frozenset) -> frozenset:
     return frozenset(closure)
 
 
-def saturate(graph: DirectedGraph, subset: Iterable[str]) -> frozenset:
-    """Smallest saturated hereditary superset of a hereditary set.
-
-    A vertex is absorbed as soon as every one of its feeders lies inside;
-    the hereditary closure is re-run after each round of absorptions.
-    """
-    sub = _vertex_subset(graph, subset)
-    if not is_hereditary(graph, sub):
-        raise NotHereditaryError(f"{sorted(sub)} is not hereditary")
-    return _saturation_fixpoint(graph, sub)
-
-
 def saturated_hereditary_closure(graph: DirectedGraph, subset: Iterable[str]) -> frozenset:
     """Smallest saturated hereditary superset of an arbitrary vertex set."""
     return _saturation_fixpoint(graph, hereditary_closure(graph, subset))
@@ -211,21 +199,6 @@ def enumerate_saturated_hereditary(graph: DirectedGraph) -> list[frozenset]:
     return sorted(found, key=lambda h: (len(h), tuple(sorted(h))))
 
 
-def subgraph_without(graph: DirectedGraph, subset: Iterable[str]) -> DirectedGraph:
-    """The graph left after deleting a hereditary set and its edges.
-
-    Kept edges are those whose source survives; hereditarity guarantees
-    their ranges survive too, so the result is well formed.  The result
-    is not validated here, deleting everything is allowed.
-    """
-    removed = _vertex_subset(graph, subset)
-    if not is_hereditary(graph, removed):
-        raise NotHereditaryError(f"{sorted(removed)} is not hereditary")
-    kept_vertices = [v for v in graph.vertices if v not in removed]
-    kept_edges = {e: sr for e, sr in graph.edges.items() if sr[0] not in removed}
-    return DirectedGraph(kept_vertices, kept_edges)
-
-
 def reachable_ranges(graph: DirectedGraph, subset: Iterable[str]) -> frozenset:
     """All vertices reachable forward from ``subset``, including it."""
     reached = set(_vertex_subset(graph, subset))
@@ -240,46 +213,29 @@ def reachable_ranges(graph: DirectedGraph, subset: Iterable[str]) -> frozenset:
     return frozenset(reached)
 
 
-@dataclass(frozen=True, order=True)
-class Path:
-    """A nonempty composable edge sequence, stored right to left."""
-
-    edges: tuple[str, ...]
-
-
-def path_from_edges(graph: DirectedGraph, edge_ids: Iterable[str]) -> Path:
-    ids = tuple(str(e) for e in edge_ids)
-    if not ids:
-        raise ValueError("a path needs at least one edge")
-    for e in ids:
-        if e not in graph.edges:
-            raise ValueError(f"unknown edge {e!r}")
-    for i in range(len(ids) - 1):
-        if graph.src(ids[i]) != graph.rng(ids[i + 1]):
-            raise ValueError(
-                f"edges {ids[i]!r} and {ids[i + 1]!r} do not compose"
-            )
-    return Path(ids)
-
-
-@dataclass(frozen=True, order=True)
-class Cycle:
+@total_ordering
+class Cycle(Record):
     """A cycle identified up to cyclic rotation of its edges.
 
     Construction normalises to the lexicographically least rotation, so
-    two rotations of the same cycle compare and hash equal.  Use
-    :func:`cycle_from_edges` to also check the sequence really is a
-    cycle of a given graph.
+    two rotations of the same cycle compare and hash equal; cycles
+    order by that rotation.  Use :func:`cycle_from_edges` to also check
+    the sequence really is a cycle of a given graph.
     """
 
-    edges: tuple[str, ...]
+    __slots__ = ("edges",)
 
-    def __post_init__(self):
-        ids = tuple(self.edges)
+    def __init__(self, edges: tuple[str, ...]):
+        ids = tuple(edges)
         if not ids:
             raise ValueError("a cycle has at least one edge")
         rotations = [ids[i:] + ids[:i] for i in range(len(ids))]
-        object.__setattr__(self, "edges", min(rotations))
+        set_field(self, "edges", min(rotations))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.edges < other.edges
+        return NotImplemented
 
     def __len__(self) -> int:
         return len(self.edges)

@@ -10,7 +10,6 @@ systems and compute order, meets, joins, hulls and closures exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -26,14 +25,14 @@ from .graph import (
     is_saturated_hereditary,
     saturated_hereditary_closure,
 )
+from .record import Record, set_field
 from .tails import MaximalTail, classify_tail, enumerate_maximal_tails, is_maximal_tail, tail_of_cycle, tail_sort_key
 
 STRATUM_CIRCLE = "z ranges over \U0001d54b"
 STRATUM_POINT = "z = 1"
 
 
-@dataclass(frozen=True)
-class PrimitiveIdeal:
+class PrimitiveIdeal(Record):
     """A primitive ideal: a maximal tail plus a point of the circle.
 
     ``angle`` parameterises the point as a fraction of a full turn.  An
@@ -41,18 +40,17 @@ class PrimitiveIdeal:
     be zero.
     """
 
-    tail: MaximalTail
-    angle: Fraction
+    __slots__ = ("tail", "angle")
 
-    def __post_init__(self):
-        theta = as_angle(self.angle)
-        object.__setattr__(self, "angle", theta)
-        if not self.tail.is_cyclic and theta != 0:
+    def __init__(self, tail: MaximalTail, angle: Fraction):
+        theta = as_angle(angle)
+        if not tail.is_cyclic and theta != 0:
             raise ValueError("an aperiodic tail admits only the angle-zero ideal")
+        set_field(self, "tail", tail)
+        set_field(self, "angle", theta)
 
 
-@dataclass(frozen=True)
-class IdealPair:
+class IdealPair(Record):
     """Symbolic coordinates of a closed two-sided ideal.
 
     ``vertices`` is the saturated hereditary set of vertices whose
@@ -62,8 +60,11 @@ class IdealPair:
     :func:`ideal_pair`, which validates against a graph.
     """
 
-    vertices: frozenset
-    cycle_sets: tuple
+    __slots__ = ("vertices", "cycle_sets")
+
+    def __init__(self, vertices: frozenset, cycle_sets: tuple):
+        set_field(self, "vertices", vertices)
+        set_field(self, "cycle_sets", cycle_sets)
 
     @property
     def assignment(self) -> dict:
@@ -136,11 +137,6 @@ def gauge_ideal(graph: DirectedGraph, vertices: Iterable) -> IdealPair:
 
 def is_gauge_invariant(pair: IdealPair) -> bool:
     return all(value.is_empty() for _, value in pair.cycle_sets)
-
-
-def vertices_in_ideal(pair: IdealPair) -> frozenset:
-    """The vertices whose projections lie in the ideal."""
-    return pair.vertices
 
 
 def enumerate_primitive_strata(graph: DirectedGraph) -> list[tuple[MaximalTail, str]]:
@@ -322,16 +318,17 @@ def closure_contains(
     return True
 
 
-@dataclass(frozen=True)
-class HullEntry:
+class HullEntry(Record):
     """One stratum of a hull: a tail and its allowed circle points."""
 
-    tail: MaximalTail
-    allowed: ClosedCircleSet
+    __slots__ = ("tail", "allowed")
+
+    def __init__(self, tail: MaximalTail, allowed: ClosedCircleSet):
+        set_field(self, "tail", tail)
+        set_field(self, "allowed", allowed)
 
 
-@dataclass(frozen=True)
-class Hull:
+class Hull(Record):
     """The primitive ideals containing a given ideal, stratified by tail.
 
     Entries carry, for each maximal tail disjoint from the ideal's
@@ -339,7 +336,10 @@ class Hull:
     the ideal.  Aperiodic strata use the single sentinel angle zero.
     """
 
-    entries: tuple
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple):
+        set_field(self, "entries", entries)
 
     def entry_for(self, tail: MaximalTail) -> HullEntry | None:
         for entry in self.entries:

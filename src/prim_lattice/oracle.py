@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .circle import OpenCircleSet, punctured_circle
@@ -33,17 +32,27 @@ from .lattice import (
     pair_leq,
     pair_meet,
 )
-from .tails import enumerate_maximal_tails, is_maximal_tail
+from .record import Record
+from .tails import enumerate_maximal_tails
 
 SUBSET_LIMIT = 16
 
 
-@dataclass
-class OracleReport:
-    """Outcome of one oracle run: how much was checked, what disagreed."""
+class OracleReport(Record):
+    """Outcome of one oracle run: how much was checked, what disagreed.
 
-    checked: int = 0
-    mismatches: list = field(default_factory=list)
+    Unlike the package's value records a report is mutable, and so
+    unhashable.
+    """
+
+    __slots__ = ("checked", "mismatches")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, checked: int = 0, mismatches: list | None = None):
+        self.checked = checked
+        self.mismatches = [] if mismatches is None else mismatches
 
     @property
     def passed(self) -> bool:
@@ -65,9 +74,41 @@ def _all_subsets(graph: DirectedGraph):
             yield frozenset(combo)
 
 
+def _satisfies_tail_axioms(graph: DirectedGraph, subset: frozenset) -> bool:
+    """The three maximal-tail axioms, checked literally.
+
+    Nonempty, forward closed, every vertex fed from inside, and any two
+    members share an ancestor inside (a vertex is its own ancestor).
+    Reachability is searched here afresh so that no fast path is reused.
+    """
+    if not subset:
+        return False
+    for src, rng in graph.edges.values():
+        if src in subset and rng not in subset:
+            return False
+    for v in subset:
+        if not any(graph.src(e) in subset for e in graph.in_edges(v)):
+            return False
+    descendants = {}
+    for v in subset:
+        seen = {v}
+        stack = [v]
+        while stack:
+            for e in graph.out_edges(stack.pop()):
+                w = graph.rng(e)
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        descendants[v] = seen
+    for v, w in itertools.combinations(subset, 2):
+        if not any(v in descendants[y] and w in descendants[y] for y in subset):
+            return False
+    return True
+
+
 def brute_maximal_tails(graph: DirectedGraph) -> list[frozenset]:
     """Every subset passing the maximal-tail axioms, exhaustively."""
-    return [s for s in _all_subsets(graph) if is_maximal_tail(graph, s)]
+    return [s for s in _all_subsets(graph) if _satisfies_tail_axioms(graph, s)]
 
 
 def brute_saturated_hereditary(graph: DirectedGraph) -> list[frozenset]:

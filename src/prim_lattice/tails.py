@@ -11,8 +11,6 @@ against direct axiom filtering by the oracle module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InternalInvariantViolation, NotAMaximalTailError
 from .graph import (
     Cycle,
@@ -23,10 +21,10 @@ from .graph import (
     entrance_free_cycles,
     reachable_ranges,
 )
+from .record import Record, set_field
 
 
-@dataclass(frozen=True)
-class MaximalTail:
+class MaximalTail(Record):
     """A maximal tail together with its classification.
 
     ``cycle`` is the unique entrance-free cycle inside the tail when one
@@ -34,9 +32,12 @@ class MaximalTail:
     otherwise (the aperiodic case, ``period`` is zero).
     """
 
-    vertices: frozenset
-    cycle: Cycle | None
-    period: int
+    __slots__ = ("vertices", "cycle", "period")
+
+    def __init__(self, vertices: frozenset, cycle: Cycle | None, period: int):
+        set_field(self, "vertices", vertices)
+        set_field(self, "cycle", cycle)
+        set_field(self, "period", period)
 
     @property
     def is_cyclic(self) -> bool:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import ast
 import io
 import json
 import subprocess
 import sys
+
+import pytest
 
 from prim_lattice.cli import main
 from prim_lattice.oracle import OracleReport
@@ -172,7 +175,7 @@ class TestOracleCommand:
         broken = OracleReport()
         broken.record("synthetic disagreement")
         monkeypatch.setattr(
-            "prim_lattice.cli.check_lattice_laws", lambda graph, sample: broken
+            "prim_lattice.oracle.check_lattice_laws", lambda graph, sample: broken
         )
         code, out, _ = run(capsys, "oracle", "-g", G_LOOP)
         assert code == 3
@@ -243,3 +246,38 @@ class TestInstalledEntryPoint:
         )
         assert result.returncode == 0
         assert result.stdout == '[[],["u"],["u","v"]]\n'
+
+
+class TestBadAngles:
+    """Angles that are not finite rationals are domain errors, not crashes."""
+
+    LOOP_PRIM = '{"tail":{"vertices":["v"]},"z":"0"}'
+    LOOP_PAIR = '{"H":[],"U":[{"cycle":["a"],"set":"empty"}]}'
+
+    @pytest.mark.parametrize("angle", ['"1/0"', "1e400"])
+    def test_bad_point(self, capsys, angle):
+        prim = '{"tail":{"vertices":["v"]},"z":%s}' % angle
+        code, out, err = run(capsys, "contains", "-g", G_LOOP, "-p", self.LOOP_PAIR, "-r", prim)
+        assert code == 1 and out == ""
+        assert err.startswith("error: angle ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("angle", ['"1/0"', "1e400"])
+    def test_bad_arc_endpoint(self, capsys, angle):
+        pair = '{"H":[],"U":[{"cycle":["a"],"set":[["0",%s]]}]}' % angle
+        code, out, err = run(capsys, "contains", "-g", G_LOOP, "-p", pair, "-r", self.LOOP_PRIM)
+        assert code == 1 and out == ""
+        assert err.startswith("error: open arc ") and err.count("\n") == 1
+
+
+class TestStartUp:
+    def test_import_skips_dataclasses_and_the_oracle(self):
+        probe = (
+            "import sys; before = set(sys.modules); import prim_lattice.cli; "
+            "print(sorted(set(sys.modules) - before))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        loaded = set(ast.literal_eval(result.stdout))
+        assert "prim_lattice.cli" in loaded
+        assert not loaded & {"dataclasses", "inspect", "prim_lattice.oracle"}

@@ -13,7 +13,6 @@ from prim_lattice import (
     DirectedGraph,
     EmptyGraphError,
     NotACycleError,
-    NotHereditaryError,
     SourceVertexError,
     UnknownVertexError,
     cycle_base,
@@ -25,11 +24,8 @@ from prim_lattice import (
     is_entrance_free,
     is_hereditary,
     is_saturated_hereditary,
-    path_from_edges,
     reachable_ranges,
-    saturate,
     saturated_hereditary_closure,
-    subgraph_without,
     validate,
 )
 from prim_lattice.fixtures import g_double, g_flow, g_loop
@@ -105,13 +101,6 @@ class TestClosures:
         assert hereditary_closure(g_flow, {"u"}) == {"u"}
         assert hereditary_closure(g_flow, set()) == set()
 
-    def test_saturate_keeps_self_fed_vertices_out(self):
-        assert saturate(g_flow, {"u"}) == {"u"}
-
-    def test_saturate_requires_hereditary(self):
-        with pytest.raises(NotHereditaryError):
-            saturate(g_flow, {"v"})
-
     def test_saturated_hereditary_closure(self):
         assert saturated_hereditary_closure(g_flow, {"v"}) == {"u", "v"}
         assert saturated_hereditary_closure(g_flow, {"u"}) == {"u"}
@@ -183,19 +172,6 @@ class TestEnumeration:
 
 
 class TestSubgraphAndReach:
-    def test_subgraph_without_hereditary_set(self):
-        left = subgraph_without(g_flow, {"u"})
-        assert left == DirectedGraph(["v"], {"b": ("v", "v")})
-        assert subgraph_without(g_flow, set()) == g_flow
-
-    def test_subgraph_without_everything_fails_validation(self):
-        with pytest.raises(EmptyGraphError):
-            validate(subgraph_without(g_flow, {"u", "v"}))
-
-    def test_subgraph_requires_hereditary(self):
-        with pytest.raises(NotHereditaryError):
-            subgraph_without(g_flow, {"v"})
-
     def test_reachable_ranges(self):
         assert reachable_ranges(g_flow, {"u"}) == {"u", "v"}
         assert reachable_ranges(g_flow, {"v"}) == {"v"}
@@ -213,15 +189,6 @@ class TestPathsAndCycles:
         return validate(
             DirectedGraph(["x", "y"], {"p": ("x", "y"), "q": ("y", "x")})
         )
-
-    def test_path_composition_convention(self):
-        g = self._two_cycle()
-        # q then p: s(q) = y = r(p)
-        assert path_from_edges(g, ["q", "p"]).edges == ("q", "p")
-        with pytest.raises(ValueError):
-            path_from_edges(g, ["p", "p"])
-        with pytest.raises(ValueError):
-            path_from_edges(g, [])
 
     def test_cycle_rotations_identified(self):
         g = self._two_cycle()

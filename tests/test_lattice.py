@@ -42,7 +42,6 @@ from prim_lattice import (
     random_ideal_pair,
     random_primitive,
     saturated_hereditary_closure,
-    vertices_in_ideal,
     zero_ideal,
 )
 from prim_lattice.fixtures import fixture_graphs, g_double, g_flow, g_loop
@@ -121,8 +120,8 @@ class TestPairValidation:
         assert gauge_ideal(g_flow, {"u"}) == ideal_pair(g_flow, {"u"}, {B: OpenCircleSet.empty()})
 
     def test_vertex_readback(self):
-        assert vertices_in_ideal(gauge_ideal(g_flow, {"u"})) == {"u"}
-        assert vertices_in_ideal(zero_ideal(g_loop)) == frozenset()
+        assert gauge_ideal(g_flow, {"u"}).vertices == {"u"}
+        assert zero_ideal(g_loop).vertices == frozenset()
 
 
 class TestPrimPairTranslation:
