@@ -24,7 +24,6 @@ from .errors import (
     MalformedHullError,
     NotACycleError,
     NotAMaximalTailError,
-    NotHereditaryError,
     SourceVertexError,
     TooLargeError,
     UnknownVertexError,
@@ -118,7 +117,6 @@ __all__ = [
     "MalformedHullError",
     "NotACycleError",
     "NotAMaximalTailError",
-    "NotHereditaryError",
     "SourceVertexError",
     "TooLargeError",
     "UnknownVertexError",

@@ -159,6 +159,14 @@ def _cmd_gauge_lattice(args) -> int:
     )
 
 
+def _agreement(fast: list, brute: list) -> dict:
+    """An oracle check that two sorted lists of vertex sets are equal."""
+    mismatches = []
+    if fast != brute:
+        mismatches.append({"fast": [sorted(s) for s in fast], "brute": [sorted(s) for s in brute]})
+    return {"pass": not mismatches, "checked": len(brute), "mismatches": mismatches}
+
+
 def _cmd_oracle(args) -> int:
     # only this command needs the oracle, so other commands start without it
     import random
@@ -176,35 +184,14 @@ def _cmd_oracle(args) -> int:
     rng = random.Random(args.seed)
     checks = {}
 
-    fast_tails = sorted(t.vertices for t in enumerate_maximal_tails(graph))
-    slow_tails = sorted(brute_maximal_tails(graph))
-    checks["tails"] = {
-        "pass": fast_tails == slow_tails,
-        "checked": len(slow_tails),
-        "mismatches": []
-        if fast_tails == slow_tails
-        else [
-            {
-                "fast": [sorted(t) for t in fast_tails],
-                "brute": [sorted(t) for t in slow_tails],
-            }
-        ],
-    }
-
-    fast_sets = sorted(enumerate_saturated_hereditary(graph))
-    slow_sets = sorted(brute_saturated_hereditary(graph))
-    checks["saturated_hereditary"] = {
-        "pass": fast_sets == slow_sets,
-        "checked": len(slow_sets),
-        "mismatches": []
-        if fast_sets == slow_sets
-        else [
-            {
-                "fast": [sorted(h) for h in fast_sets],
-                "brute": [sorted(h) for h in slow_sets],
-            }
-        ],
-    }
+    checks["tails"] = _agreement(
+        sorted(t.vertices for t in enumerate_maximal_tails(graph)),
+        sorted(brute_maximal_tails(graph)),
+    )
+    checks["saturated_hereditary"] = _agreement(
+        sorted(enumerate_saturated_hereditary(graph)),
+        sorted(brute_saturated_hereditary(graph)),
+    )
 
     sample = [random_ideal_pair(rng, graph) for _ in range(args.samples)]
     laws = check_lattice_laws(graph, sample)
@@ -283,10 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process, since in-process callers run many commands
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as err:
         return 0 if err.code in (0, None) else 2
     try:

@@ -33,10 +33,6 @@ class UnknownVertexError(GraphAlgebraError):
         self.vertex = vertex
 
 
-class NotHereditaryError(GraphAlgebraError):
-    """The vertex set is not hereditary (or not saturated hereditary)."""
-
-
 class NotACycleError(GraphAlgebraError):
     """The edge sequence does not form a cycle of the graph."""
 

@@ -137,7 +137,7 @@ def hereditary_closure(graph: DirectedGraph, subset: Iterable[str]) -> frozenset
     Whenever the range of an edge lies in the set, its source is added,
     until nothing changes.
     """
-    closure = set(_vertex_subset(graph, subset))
+    closure = set(subset)
     stack = list(closure)
     while stack:
         v = stack.pop()
@@ -171,7 +171,7 @@ def saturated_hereditary_closure(graph: DirectedGraph, subset: Iterable[str]) ->
 
 
 def is_saturated_hereditary(graph: DirectedGraph, subset: Iterable[str]) -> bool:
-    sub = _vertex_subset(graph, subset)
+    sub = frozenset(subset)
     return sub == saturated_hereditary_closure(graph, sub)
 
 
@@ -201,7 +201,7 @@ def enumerate_saturated_hereditary(graph: DirectedGraph) -> list[frozenset]:
 
 def reachable_ranges(graph: DirectedGraph, subset: Iterable[str]) -> frozenset:
     """All vertices reachable forward from ``subset``, including it."""
-    reached = set(_vertex_subset(graph, subset))
+    reached = set(subset)
     stack = list(reached)
     while stack:
         v = stack.pop()
@@ -292,7 +292,7 @@ def entrance_free_cycles(graph: DirectedGraph, subset: Iterable[str]) -> list[Cy
     inside ``subset``, so following unique feeders backwards from each
     vertex either fails fast or traces the cycle through that vertex.
     """
-    inside = _vertex_subset(graph, subset)
+    inside = frozenset(subset)
     feeders = {
         v: [e for e in graph.in_edges(v) if graph.src(e) in inside] for v in inside
     }

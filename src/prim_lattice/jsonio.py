@@ -2,14 +2,15 @@
 
 Printing followed by parsing is the identity on canonical values, and
 printing is deterministic: keys are sorted and all orderings are the
-canonical ones chosen by the constructing modules.
+canonical ones chosen by the constructing modules.  Parsing is strict:
+lists must be JSON arrays, and angles fraction strings or integers.
 """
 
 from __future__ import annotations
 
 import json
 
-from .circle import ClosedCircleSet, OpenCircleSet, as_angle, format_angle
+from .circle import ClosedCircleSet, OpenCircleSet, format_angle
 from .errors import MalformedHullError, NotAMaximalTailError
 from .graph import Cycle, DirectedGraph
 from .lattice import Hull, HullEntry, IdealPair, PrimitiveIdeal, ideal_pair
@@ -18,6 +19,26 @@ from .tails import MaximalTail, classify_tail
 
 def canonical_dumps(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+def _array(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON array, not {type(value).__name__}")
+    return value
+
+
+def _angle(value, what: str = "angle"):
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ValueError(f"{what} {value!r} must be a fraction string or an integer")
+    return value
+
+
+def _arcs(value, kind: str) -> list:
+    arcs = []
+    for arc in _array(value, f"{kind} arcs"):
+        a, b = _array(arc, f"{kind} arc")
+        arcs.append((_angle(a, f"{kind} arc endpoint"), _angle(b, f"{kind} arc endpoint")))
+    return arcs
 
 
 def graph_to_json(graph: DirectedGraph) -> dict:
@@ -40,7 +61,7 @@ def graph_from_json(data) -> DirectedGraph:
                 "each edge must be an object with 'id', 'src' and 'rng' fields"
             )
         rows.append((entry["id"], entry["src"], entry["rng"]))
-    return DirectedGraph(data.get("vertices", []), rows)
+    return DirectedGraph(_array(data.get("vertices", []), "'vertices'"), rows)
 
 
 def open_set_to_json(value: OpenCircleSet):
@@ -58,7 +79,7 @@ def open_set_from_json(data) -> OpenCircleSet:
         return OpenCircleSet.empty()
     if not isinstance(data, list):
         raise ValueError("open circle set JSON must be 'full', 'empty' or arcs")
-    return OpenCircleSet.from_arcs(data)
+    return OpenCircleSet.from_arcs(_arcs(data, "open"))
 
 
 def closed_set_to_json(value: ClosedCircleSet):
@@ -81,8 +102,8 @@ def closed_set_from_json(data) -> ClosedCircleSet:
         raise ValueError(
             "closed circle set JSON must be 'full', 'empty' or an object"
         )
-    arcs = tuple((a, b) for a, b in data.get("arcs", []))
-    points = tuple(data.get("points", []))
+    arcs = tuple(_arcs(data.get("arcs", []), "closed"))
+    points = tuple(_angle(p) for p in _array(data.get("points", []), "'points'"))
     return ClosedCircleSet(arcs, points)
 
 
@@ -98,12 +119,14 @@ def tail_to_json(tail: MaximalTail) -> dict:
 def tail_from_json(graph: DirectedGraph, data) -> MaximalTail:
     if not isinstance(data, dict) or "vertices" not in data:
         raise ValueError("a maximal tail must be an object with a 'vertices' field")
-    tail = classify_tail(graph, data["vertices"])
+    tail = classify_tail(graph, _array(data["vertices"], "a tail's 'vertices'"))
     declared_kind = data.get("kind")
     if declared_kind is not None and declared_kind != tail.kind:
         raise ValueError(f"tail {data['vertices']} is {tail.kind}, not {declared_kind}")
     declared_cycle = data.get("cycle")
-    if declared_cycle is not None and Cycle(tuple(declared_cycle)) != tail.cycle:
+    if declared_cycle is not None and Cycle(
+        tuple(_array(declared_cycle, "a tail's 'cycle'"))
+    ) != tail.cycle:
         raise ValueError(f"tail {data['vertices']} has cycle {tail.cycle}")
     declared_period = data.get("period")
     if declared_period is not None and declared_period != tail.period:
@@ -120,7 +143,7 @@ def prim_from_json(graph: DirectedGraph, data) -> PrimitiveIdeal:
         raise ValueError(
             "a primitive ideal must be an object with 'tail' and 'z' fields"
         )
-    return PrimitiveIdeal(tail_from_json(graph, data["tail"]), as_angle(data["z"]))
+    return PrimitiveIdeal(tail_from_json(graph, data["tail"]), _angle(data["z"]))
 
 
 def pair_to_json(pair: IdealPair) -> dict:
@@ -137,13 +160,14 @@ def pair_from_json(graph: DirectedGraph, data) -> IdealPair:
     if not isinstance(data, dict):
         raise ValueError("an ideal pair must be an object with 'H' and 'U' fields")
     assignment = []
-    for entry in data.get("U", []):
+    for entry in _array(data.get("U", []), "'U'"):
         if not isinstance(entry, dict) or not {"cycle", "set"} <= entry.keys():
             raise ValueError(
                 "each 'U' entry must be an object with 'cycle' and 'set' fields"
             )
-        assignment.append((tuple(entry["cycle"]), open_set_from_json(entry["set"])))
-    return ideal_pair(graph, data.get("H", []), assignment)
+        cycle = tuple(_array(entry["cycle"], "a 'U' entry's 'cycle'"))
+        assignment.append((cycle, open_set_from_json(entry["set"])))
+    return ideal_pair(graph, _array(data.get("H", []), "'H'"), assignment)
 
 
 def hull_to_json(shape: Hull) -> list:

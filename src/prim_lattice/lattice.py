@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .circle import ClosedCircleSet, OpenCircleSet, as_angle, finite_closed_set, punctured_circle
-from .errors import InternalInvariantViolation, MalformedHullError
+from .errors import InternalInvariantViolation, MalformedHullError, NotAMaximalTailError
 from .graph import (
     Cycle,
     DirectedGraph,
@@ -26,7 +26,7 @@ from .graph import (
     saturated_hereditary_closure,
 )
 from .record import Record, set_field
-from .tails import MaximalTail, classify_tail, enumerate_maximal_tails, is_maximal_tail, tail_of_cycle, tail_sort_key
+from .tails import MaximalTail, classify_tail, enumerate_maximal_tails, tail_sort_key
 
 STRATUM_CIRCLE = "z ranges over \U0001d54b"
 STRATUM_POINT = "z = 1"
@@ -56,8 +56,10 @@ class IdealPair(Record):
     ``vertices`` is the saturated hereditary set of vertices whose
     projections the ideal contains.  ``cycle_sets`` assigns to every
     entrance-free cycle of the complement a proper open circle set,
-    stored sorted by cycle for canonical equality.  Build instances with
-    :func:`ideal_pair`, which validates against a graph.
+    stored sorted by cycle for canonical equality.  Build instances from
+    outside input with :func:`ideal_pair`, which validates against a
+    graph; the operations below build their results directly, in the
+    sorted cycle order that :func:`entrance_free_cycles` returns.
     """
 
     __slots__ = ("vertices", "cycle_sets")
@@ -90,11 +92,8 @@ def ideal_pair(graph: DirectedGraph, vertices: Iterable, assignment) -> IdealPai
     inside = _vertex_subset(graph, vertices)
     if not is_saturated_hereditary(graph, inside):
         raise ValueError(f"{sorted(inside)} is not saturated hereditary")
-    if isinstance(assignment, dict):
-        items = list(assignment.items())
-    else:
-        items = list(assignment)
     keyed = {}
+    items = assignment.items() if isinstance(assignment, dict) else assignment
     for cycle, value in items:
         if not isinstance(cycle, Cycle):
             cycle = Cycle(tuple(cycle))
@@ -120,17 +119,18 @@ def ideal_pair(graph: DirectedGraph, vertices: Iterable, assignment) -> IdealPai
 def zero_ideal(graph: DirectedGraph) -> IdealPair:
     """The zero ideal: no vertices, every cycle set empty."""
     cycles = entrance_free_cycles(graph, frozenset(graph.vertices))
-    return ideal_pair(graph, frozenset(), {c: OpenCircleSet.empty() for c in cycles})
+    return IdealPair(frozenset(), tuple((c, OpenCircleSet.empty()) for c in cycles))
 
 
 def improper_ideal(graph: DirectedGraph) -> IdealPair:
     """The whole algebra: every vertex, nothing left to constrain."""
-    return ideal_pair(graph, frozenset(graph.vertices), {})
+    return IdealPair(frozenset(graph.vertices), ())
 
 
 def gauge_ideal(graph: DirectedGraph, vertices: Iterable) -> IdealPair:
     """The gauge-invariant ideal generated by a saturated hereditary set."""
-    inside = _vertex_subset(graph, vertices)
+    inside = frozenset(vertices)
+    # an unknown vertex drops out of the complement here; ideal_pair rejects it
     cycles = entrance_free_cycles(graph, frozenset(graph.vertices) - inside)
     return ideal_pair(graph, inside, {c: OpenCircleSet.empty() for c in cycles})
 
@@ -165,15 +165,15 @@ def prim_to_pair(graph: DirectedGraph, prim: PrimitiveIdeal) -> IdealPair:
                 f"tail {sorted(tail.vertices)} should leave exactly its own "
                 f"cycle entrance-free, found {[c.edges for c in cycles]}"
             )
-        assignment = {tail.cycle: punctured_circle(prim.angle)}
+        cycle_sets = ((tail.cycle, punctured_circle(prim.angle)),)
     else:
         if cycles:
             raise InternalInvariantViolation(
                 f"aperiodic tail {sorted(tail.vertices)} has entrance-free "
                 f"cycles {[c.edges for c in cycles]}"
             )
-        assignment = {}
-    return ideal_pair(graph, complement, assignment)
+        cycle_sets = ()
+    return IdealPair(complement, cycle_sets)
 
 
 def as_primitive(graph: DirectedGraph, pair: IdealPair) -> PrimitiveIdeal | None:
@@ -183,14 +183,12 @@ def as_primitive(graph: DirectedGraph, pair: IdealPair) -> PrimitiveIdeal | None
     a maximal tail and the cycle data has the shape produced by
     :func:`prim_to_pair`.
     """
-    candidate = frozenset(graph.vertices) - pair.vertices
-    if not is_maximal_tail(graph, candidate):
+    try:
+        tail = classify_tail(graph, frozenset(graph.vertices) - pair.vertices)
+    except NotAMaximalTailError:
         return None
-    tail = classify_tail(graph, candidate)
     if not tail.is_cyclic:
-        if pair.cycle_sets:
-            return None
-        return PrimitiveIdeal(tail, Fraction(0))
+        return None if pair.cycle_sets else PrimitiveIdeal(tail, Fraction(0))
     if not pair.constrains(tail.cycle):
         return None
     removed = pair.open_set(tail.cycle).complement()
@@ -225,10 +223,8 @@ def pair_meet(graph: DirectedGraph, pairs: Sequence[IdealPair]) -> IdealPair:
     """
     if not pairs:
         raise ValueError("meet of an empty family is not defined")
-    met = frozenset(graph.vertices)
-    for pair in pairs:
-        met &= pair.vertices
-    assignment = {}
+    met = frozenset(graph.vertices).intersection(*(pair.vertices for pair in pairs))
+    cycle_sets = []
     for cycle in entrance_free_cycles(graph, frozenset(graph.vertices) - met):
         members = [pair for pair in pairs if pair.constrains(cycle)]
         if not members:
@@ -238,8 +234,8 @@ def pair_meet(graph: DirectedGraph, pairs: Sequence[IdealPair]) -> IdealPair:
         value = members[0].open_set(cycle)
         for member in members[1:]:
             value = value.intersect(member.open_set(cycle))
-        assignment[cycle] = value
-    return ideal_pair(graph, met, assignment)
+        cycle_sets.append((cycle, value))
+    return IdealPair(met, tuple(cycle_sets))
 
 
 def pair_join(graph: DirectedGraph, pairs: Sequence[IdealPair]) -> IdealPair:
@@ -252,9 +248,7 @@ def pair_join(graph: DirectedGraph, pairs: Sequence[IdealPair]) -> IdealPair:
     """
     if not pairs:
         raise ValueError("join of an empty family is not defined")
-    pooled = frozenset()
-    for pair in pairs:
-        pooled |= pair.vertices
+    pooled = frozenset().union(*(pair.vertices for pair in pairs))
     base = saturated_hereditary_closure(graph, pooled)
 
     def pooled_set(cycle: Cycle) -> OpenCircleSet:
@@ -269,15 +263,15 @@ def pair_join(graph: DirectedGraph, pairs: Sequence[IdealPair]) -> IdealPair:
         if pooled_set(cycle).is_full:
             promoted.add(cycle_base(graph, cycle))
     joined = saturated_hereditary_closure(graph, base | promoted)
-    assignment = {}
+    cycle_sets = []
     for cycle in entrance_free_cycles(graph, frozenset(graph.vertices) - joined):
         value = pooled_set(cycle)
         if value.is_full:
             raise InternalInvariantViolation(
                 f"cycle {cycle.edges} kept a full circle set after promotion"
             )
-        assignment[cycle] = value
-    return ideal_pair(graph, joined, assignment)
+        cycle_sets.append((cycle, value))
+    return IdealPair(joined, tuple(cycle_sets))
 
 
 def contained_in_prim(graph: DirectedGraph, pair: IdealPair, prim: PrimitiveIdeal) -> bool:
@@ -341,12 +335,6 @@ class Hull(Record):
     def __init__(self, entries: tuple):
         set_field(self, "entries", entries)
 
-    def entry_for(self, tail: MaximalTail) -> HullEntry | None:
-        for entry in self.entries:
-            if entry.tail == tail:
-                return entry
-        return None
-
 
 def hull(graph: DirectedGraph, pair: IdealPair) -> Hull:
     """The hull of an ideal: every primitive ideal containing it."""
@@ -368,35 +356,37 @@ def hull_to_pair(graph: DirectedGraph, shape: Hull) -> IdealPair:
     """Rebuild the ideal pair whose hull is ``shape``.
 
     The vertex part is the complement of the union of the entry tails.
-    Each entrance-free cycle of that union looks up the entry of the
-    tail it generates: the cycle's open set is the complement of the
-    allowed set there, or empty when the stratum is absent.
+    Each entrance-free cycle of that union gets the complement of the
+    allowed set of its stratum.  That stratum is the entry whose own
+    cycle it is: the cycle lies in some entry tail, which is forward
+    closed, and is entrance-free there too, and a maximal tail has only
+    one such cycle.
     """
     tails = {tail.vertices: tail for tail in enumerate_maximal_tails(graph)}
-    seen = set()
+    strata = {}
     for entry in shape.entries:
-        known = tails.get(entry.tail.vertices)
-        if known is None or known != entry.tail:
-            raise MalformedHullError(
-                f"{sorted(entry.tail.vertices)} is not a maximal tail of the graph"
-            )
-        if entry.tail.vertices in seen:
-            raise MalformedHullError(
-                f"duplicate stratum for tail {sorted(entry.tail.vertices)}"
-            )
-        seen.add(entry.tail.vertices)
-    covered = frozenset()
-    for entry in shape.entries:
-        covered |= entry.tail.vertices
-    inside = frozenset(graph.vertices) - covered
-    assignment = {}
+        vertices = entry.tail.vertices
+        if tails.get(vertices) != entry.tail:
+            raise MalformedHullError(f"{sorted(vertices)} is not a maximal tail of the graph")
+        if vertices in strata:
+            raise MalformedHullError(f"duplicate stratum for tail {sorted(vertices)}")
+        strata[vertices] = entry
+    covered = frozenset().union(*strata)
+    # aperiodic strata sit under the key None, which no cycle equals
+    own = {entry.tail.cycle: entry for entry in strata.values()}
+    cycle_sets = []
     for cycle in entrance_free_cycles(graph, covered):
-        stratum = shape.entry_for(tail_of_cycle(graph, cycle))
-        if stratum is None:
-            assignment[cycle] = OpenCircleSet.empty()
-        else:
-            assignment[cycle] = stratum.allowed.complement()
-    return ideal_pair(graph, inside, assignment)
+        if cycle not in own:
+            raise InternalInvariantViolation(
+                f"entrance-free cycle {cycle.edges} of a hull is no stratum's own cycle"
+            )
+        value = own[cycle].allowed.complement()
+        if value.is_full:
+            raise MalformedHullError(
+                f"stratum {sorted(own[cycle].tail.vertices)} allows no point of its cycle"
+            )
+        cycle_sets.append((cycle, value))
+    return IdealPair(frozenset(graph.vertices) - covered, tuple(cycle_sets))
 
 
 def meet_of_primitives(

@@ -80,7 +80,7 @@ def classify_tail(graph: DirectedGraph, subset) -> MaximalTail:
     rotation; finding more than one means the input was not a maximal
     tail after all or an enumeration bug, so it trips an internal error.
     """
-    tail = _vertex_subset(graph, subset)
+    tail = frozenset(subset)
     if not is_maximal_tail(graph, tail):
         raise NotAMaximalTailError(f"{sorted(tail)} is not a maximal tail")
     cycles = entrance_free_cycles(graph, tail)
@@ -155,18 +155,15 @@ def _has_internal_edge(graph: DirectedGraph, component: frozenset) -> bool:
 def enumerate_maximal_tails(graph: DirectedGraph) -> list[MaximalTail]:
     """All maximal tails, sorted by size then vertex ids.
 
-    Assumes a validated (finite, nonempty, source-free) graph.
+    Assumes a validated (finite, nonempty, source-free) graph.  Two
+    components with the same forward closure reach each other and so
+    coincide: no tail comes up twice.
     """
-    seen = set()
-    tails = []
-    for component in strongly_connected_components(graph):
-        if not _has_internal_edge(graph, component):
-            continue
-        vertices = reachable_ranges(graph, component)
-        if vertices in seen:
-            continue
-        seen.add(vertices)
-        tails.append(classify_tail(graph, vertices))
+    tails = [
+        classify_tail(graph, reachable_ranges(graph, component))
+        for component in strongly_connected_components(graph)
+        if _has_internal_edge(graph, component)
+    ]
     return sorted(tails, key=tail_sort_key)
 
 

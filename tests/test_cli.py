@@ -269,6 +269,68 @@ class TestBadAngles:
         assert err.startswith("error: open arc ") and err.count("\n") == 1
 
 
+class TestStrictShapes:
+    """A string is never read as a list, and an angle is never a float."""
+
+    PRIM = '{"tail":{"vertices":["v"]},"z":"0"}'
+    PAIR = '{"H":[],"U":[{"cycle":["a"],"set":"empty"}]}'
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("validate", "-g", '{"vertices":"v","edges":[{"id":"a","src":"v","rng":"v"}]}'),
+            ("contains", "-g", G_LOOP, "-p", PAIR, "-r", '{"tail":{"vertices":"v"},"z":"0"}'),
+            ("contains", "-g", G_LOOP, "-p", PAIR, "-r", '{"tail":{"vertices":["v"],"cycle":"a"},"z":"0"}'),
+            ("hull", "-g", G_LOOP, "-p", '{"H":"","U":[{"cycle":["a"],"set":"empty"}]}'),
+            ("hull", "-g", G_LOOP, "-p", '{"H":[],"U":[{"cycle":"a","set":"empty"}]}'),
+            ("from-hull", "-g", G_LOOP, "-H", '[{"tail":{"vertices":["v"]},"allowed":{"points":"0"}}]'),
+        ],
+        ids=["graph-vertices", "tail-vertices", "tail-cycle", "pair-H", "pair-U-cycle", "closed-points"],
+    )
+    def test_string_for_a_list(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "must be a JSON array" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("contains", "-g", G_LOOP, "-p", PAIR, "-r", '{"tail":{"vertices":["v"]},"z":0.1}'),
+            ("contains", "-g", G_LOOP, "-p", PAIR, "-r", '{"tail":{"vertices":["v"]},"z":true}'),
+            ("contains", "-g", G_LOOP, "-p", '{"H":[],"U":[{"cycle":["a"],"set":[["0",0.5]]}]}', "-r", PRIM),
+            ("from-hull", "-g", G_LOOP, "-H", '[{"tail":{"vertices":["v"]},"allowed":{"points":[0.5]}}]'),
+            ("from-hull", "-g", G_LOOP, "-H", '[{"tail":{"vertices":["v"]},"allowed":{"arcs":[[false,"1/2"]]}}]'),
+        ],
+        ids=["z-float", "z-bool", "open-arc-float", "closed-point-float", "closed-arc-bool"],
+    )
+    def test_float_or_bool_for_an_angle(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "must be a fraction string or an integer" in err
+
+    def test_integer_angles_still_accepted(self, capsys):
+        code, out, _ = run(capsys, "contains", "-g", G_LOOP, "-p", '{"H":[],"U":[{"cycle":["a"],"set":[[0,1]]}]}', "-r", '{"tail":{"vertices":["v"]},"z":0}')
+        assert code == 0 and out == '{"contained":true}\n'
+
+
+class TestParserReuse:
+    def test_main_reuses_one_parser(self, capsys, monkeypatch):
+        from prim_lattice import cli
+
+        def no_second_parser():
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(cli, "build_parser", no_second_parser)
+        assert run(capsys, "tails", "-g", G_LOOP)[0] == 0
+        assert run(capsys, "frobnicate")[0] == 2
+        assert run(capsys, "tails")[0] == 2
+        assert run(capsys, "--help")[0] == 0
+        code, out, _ = run(capsys, "tails", "-g", G_FLOW)
+        assert (code, out) == (0, FLOW_TAILS + "\n")
+
+
 class TestStartUp:
     def test_import_skips_dataclasses_and_the_oracle(self):
         probe = (

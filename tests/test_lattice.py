@@ -12,6 +12,7 @@ from prim_lattice import (
     STRATUM_POINT,
     ClosedCircleSet,
     Cycle,
+    DirectedGraph,
     Hull,
     HullEntry,
     MalformedHullError,
@@ -140,6 +141,10 @@ class TestPrimPairTranslation:
     def test_as_primitive_rejects_other_shapes(self):
         assert as_primitive(g_loop, ideal_pair(g_loop, set(), {A: arcs((0, "1/2"))})) is None
         assert as_primitive(g_flow, gauge_ideal(g_flow, {"u"})) is None
+        # complements that are no maximal tail: empty, and two unrelated loops
+        assert as_primitive(g_flow, improper_ideal(g_flow)) is None
+        loops = DirectedGraph(["u", "v"], {"a": ("u", "u"), "b": ("v", "v")})
+        assert as_primitive(loops, zero_ideal(loops)) is None
 
     def test_round_trip(self):
         rng, graphs = _corpus(seed=53)
@@ -312,8 +317,8 @@ class TestHull:
 
     def test_unconstrained_cycles_allow_everything(self):
         shape = hull(g_flow, zero_ideal(g_flow))
-        assert shape.entry_for(FLOW_SMALL).allowed == ClosedCircleSet.full()
-        assert shape.entry_for(FLOW_BIG).allowed == ClosedCircleSet.full()
+        full = ClosedCircleSet.full()
+        assert shape.entries == (HullEntry(FLOW_SMALL, full), HullEntry(FLOW_BIG, full))
 
     def test_aperiodic_stratum_uses_the_sentinel_point(self):
         shape = hull(g_double, zero_ideal(g_double))
