@@ -3,7 +3,8 @@
 Every data flag takes a file path, ``@-`` for standard input, or inline
 JSON (anything starting with ``{``, ``[`` or ``"``).  Output is one
 canonical JSON document on stdout; diagnostics go to stderr.  Exit
-codes: 0 success, 1 domain error, 2 usage error, 3 oracle mismatch.
+codes: 0 success, 1 domain error, 2 usage error, 3 oracle mismatch,
+4 internal error (a bug in this package; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -45,81 +46,9 @@ def _load_json(argument: str):
             raise UsageError(f"cannot read {argument!r}: {err}") from err
     try:
         return json.loads(text)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:
+        # the parser recurses once per nesting level, so deep input is a usage error
         raise UsageError(f"invalid JSON in {argument!r}: {err}") from err
-
-
-def _graph(args):
-    return validate(jsonio.graph_from_json(_load_json(args.graph)))
-
-
-def _emit(payload) -> int:
-    print(jsonio.canonical_dumps(payload))
-    return 0
-
-
-def _cmd_validate(args) -> int:
-    return _emit(jsonio.graph_to_json(_graph(args)))
-
-
-def _cmd_tails(args) -> int:
-    graph = _graph(args)
-    return _emit([jsonio.tail_to_json(t) for t in enumerate_maximal_tails(graph)])
-
-
-def _cmd_prims(args) -> int:
-    graph = _graph(args)
-    return _emit(jsonio.strata_to_json(enumerate_primitive_strata(graph)))
-
-
-def _cmd_sat_hered(args) -> int:
-    graph = _graph(args)
-    return _emit([sorted(h) for h in enumerate_saturated_hereditary(graph)])
-
-
-def _cmd_leq(args) -> int:
-    graph = _graph(args)
-    first = jsonio.pair_from_json(graph, _load_json(args.first))
-    second = jsonio.pair_from_json(graph, _load_json(args.second))
-    return _emit({"leq": pair_leq(graph, first, second)})
-
-
-def _cmd_meet(args) -> int:
-    graph = _graph(args)
-    pairs = [jsonio.pair_from_json(graph, item) for item in _load_json(args.pairs)]
-    return _emit(jsonio.pair_to_json(pair_meet(graph, pairs)))
-
-
-def _cmd_join(args) -> int:
-    graph = _graph(args)
-    pairs = [jsonio.pair_from_json(graph, item) for item in _load_json(args.pairs)]
-    return _emit(jsonio.pair_to_json(pair_join(graph, pairs)))
-
-
-def _cmd_hull(args) -> int:
-    graph = _graph(args)
-    pair = jsonio.pair_from_json(graph, _load_json(args.pair))
-    return _emit(jsonio.hull_to_json(hull(graph, pair)))
-
-
-def _cmd_from_hull(args) -> int:
-    graph = _graph(args)
-    shape = jsonio.hull_from_json(graph, _load_json(args.hull))
-    return _emit(jsonio.pair_to_json(hull_to_pair(graph, shape)))
-
-
-def _cmd_closure(args) -> int:
-    graph = _graph(args)
-    prims = [jsonio.prim_from_json(graph, item) for item in _load_json(args.prims)]
-    target = jsonio.prim_from_json(graph, _load_json(args.target))
-    return _emit({"contained": closure_contains(graph, prims, target)})
-
-
-def _cmd_contains(args) -> int:
-    graph = _graph(args)
-    pair = jsonio.pair_from_json(graph, _load_json(args.pair))
-    prim = jsonio.prim_from_json(graph, _load_json(args.prim))
-    return _emit({"contained": contained_in_prim(graph, pair, prim)})
 
 
 def _covers(sets):
@@ -137,26 +66,22 @@ def _set_label(vertices) -> str:
     return "{" + ",".join(sorted(vertices)) + "}"
 
 
-def _cmd_gauge_lattice(args) -> int:
-    graph = _graph(args)
+def _gauge_lattice(graph, dot: bool):
     sets = enumerate_saturated_hereditary(graph)
     covers = _covers(sets)
-    if args.dot:
+    if dot:
         lines = ["digraph gauge_lattice {", "  rankdir=BT;"]
         for h in sets:
             lines.append(f'  "{_set_label(h)}";')
         for small, large in covers:
             lines.append(f'  "{_set_label(small)}" -> "{_set_label(large)}";')
         lines.append("}")
-        print("\n".join(lines))
-        return 0
+        return "\n".join(lines)
     index = {h: i for i, h in enumerate(sets)}
-    return _emit(
-        {
-            "sets": [sorted(h) for h in sets],
-            "covers": [[index[a], index[b]] for a, b in covers],
-        }
-    )
+    return {
+        "sets": [sorted(h) for h in sets],
+        "covers": [[index[a], index[b]] for a, b in covers],
+    }
 
 
 def _agreement(fast: list, brute: list) -> dict:
@@ -167,11 +92,12 @@ def _agreement(fast: list, brute: list) -> dict:
     return {"pass": not mismatches, "checked": len(brute), "mismatches": mismatches}
 
 
-def _cmd_oracle(args) -> int:
+def _oracle(graph, seed: int, samples: int) -> dict:
     # only this command needs the oracle, so other commands start without it
     import random
 
     from .oracle import (
+        OracleReport,
         brute_maximal_tails,
         brute_saturated_hereditary,
         check_closure_coherence,
@@ -180,8 +106,7 @@ def _cmd_oracle(args) -> int:
         random_primitive,
     )
 
-    graph = _graph(args)
-    rng = random.Random(args.seed)
+    rng = random.Random(seed)
     checks = {}
 
     checks["tails"] = _agreement(
@@ -193,26 +118,89 @@ def _cmd_oracle(args) -> int:
         sorted(brute_saturated_hereditary(graph)),
     )
 
-    sample = [random_ideal_pair(rng, graph) for _ in range(args.samples)]
-    laws = check_lattice_laws(graph, sample)
-    checks["lattice_laws"] = jsonio.report_to_json(laws)
+    sample = [random_ideal_pair(rng, graph) for _ in range(samples)]
+    checks["lattice_laws"] = jsonio.report_to_json(check_lattice_laws(graph, sample))
 
-    coherence_mismatches = []
-    coherence_checked = 0
-    for _ in range(args.samples):
+    coherence = OracleReport()
+    for _ in range(samples):
         prims = [random_primitive(rng, graph) for _ in range(rng.randint(1, 3))]
         report = check_closure_coherence(graph, prims)
-        coherence_checked += report.checked
-        coherence_mismatches.extend(report.mismatches)
-    checks["closure_coherence"] = {
-        "pass": not coherence_mismatches,
-        "checked": coherence_checked,
-        "mismatches": coherence_mismatches,
-    }
+        coherence.checked += report.checked
+        coherence.mismatches.extend(report.mismatches)
+    checks["closure_coherence"] = jsonio.report_to_json(coherence)
 
-    all_pass = all(entry["pass"] for entry in checks.values())
-    _emit({"pass": all_pass, "checks": checks})
-    return 0 if all_pass else 3
+    return {"pass": all(entry["pass"] for entry in checks.values()), "checks": checks}
+
+
+# name -> (help, payload function, flags after ``-g`` in declaration order).
+# The function takes the graph and the decoded flags.  A data flag names its
+# jsonio reader; an option flag gives its argparse settings.  Readers are
+# looked up in jsonio, and the functions find the lattice operations as
+# module globals, at call time, so a wrapper patched into a module sees them.
+_COMMANDS = {
+    "validate": ("check a graph and echo it canonically", lambda g: jsonio.graph_to_json(g)),
+    "tails": (
+        "list the maximal tails",
+        lambda g: [jsonio.tail_to_json(t) for t in enumerate_maximal_tails(g)],
+    ),
+    "prims": (
+        "list the primitive-ideal strata",
+        lambda g: jsonio.strata_to_json(enumerate_primitive_strata(g)),
+    ),
+    "sat-hered": (
+        "list the saturated hereditary sets",
+        lambda g: [sorted(h) for h in enumerate_saturated_hereditary(g)],
+    ),
+    "leq": (
+        "compare two ideal pairs",
+        lambda g, first, second: {"leq": pair_leq(g, first, second)},
+        ("-p", "--first", "left ideal pair", "pair_from_json"),
+        ("-q", "--second", "right ideal pair", "pair_from_json"),
+    ),
+    "meet": (
+        "intersect a list of ideal pairs",
+        lambda g, pairs: jsonio.pair_to_json(pair_meet(g, pairs)),
+        ("-P", "--pairs", "JSON list of ideal pairs", "pairs_from_json"),
+    ),
+    "join": (
+        "join a list of ideal pairs",
+        lambda g, pairs: jsonio.pair_to_json(pair_join(g, pairs)),
+        ("-P", "--pairs", "JSON list of ideal pairs", "pairs_from_json"),
+    ),
+    "hull": (
+        "primitive ideals containing an ideal",
+        lambda g, pair: jsonio.hull_to_json(hull(g, pair)),
+        ("-p", "--pair", "ideal pair", "pair_from_json"),
+    ),
+    "from-hull": (
+        "rebuild an ideal pair from its hull",
+        lambda g, shape: jsonio.pair_to_json(hull_to_pair(g, shape)),
+        ("-H", "--hull", "hull JSON", "hull_from_json"),
+    ),
+    "closure": (
+        "closure membership for primitives",
+        lambda g, prims, target: {"contained": closure_contains(g, prims, target)},
+        ("-X", "--prims", "JSON list of primitives", "prims_from_json"),
+        ("-t", "--target", "target primitive", "prim_from_json"),
+    ),
+    "contains": (
+        "ideal containment in a primitive",
+        lambda g, pair, prim: {"contained": contained_in_prim(g, pair, prim)},
+        ("-p", "--pair", "ideal pair", "pair_from_json"),
+        ("-r", "--prim", "primitive ideal", "prim_from_json"),
+    ),
+    "gauge-lattice": (
+        "gauge-invariant sublattice",
+        _gauge_lattice,
+        ("--dot", "emit a DOT Hasse diagram", {"action": "store_true"}),
+    ),
+    "oracle": (
+        "run the self-check oracles",
+        _oracle,
+        ("--seed", "random seed", {"type": int, "default": 0}),
+        ("--samples", "sample size per check", {"type": int, "default": 6}),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,49 +212,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, handler, help_text):
+    for name, (help_text, _, *flags) in _COMMANDS.items():
         sub = commands.add_parser(name, help=help_text)
         sub.add_argument("-g", "--graph", required=True, help="graph JSON")
-        sub.set_defaults(handler=handler)
-        return sub
-
-    command("validate", _cmd_validate, "check a graph and echo it canonically")
-    command("tails", _cmd_tails, "list the maximal tails")
-    command("prims", _cmd_prims, "list the primitive-ideal strata")
-    command("sat-hered", _cmd_sat_hered, "list the saturated hereditary sets")
-
-    sub = command("leq", _cmd_leq, "compare two ideal pairs")
-    sub.add_argument("-p", "--first", required=True, help="left ideal pair")
-    sub.add_argument("-q", "--second", required=True, help="right ideal pair")
-
-    sub = command("meet", _cmd_meet, "intersect a list of ideal pairs")
-    sub.add_argument("-P", "--pairs", required=True, help="JSON list of ideal pairs")
-
-    sub = command("join", _cmd_join, "join a list of ideal pairs")
-    sub.add_argument("-P", "--pairs", required=True, help="JSON list of ideal pairs")
-
-    sub = command("hull", _cmd_hull, "primitive ideals containing an ideal")
-    sub.add_argument("-p", "--pair", required=True, help="ideal pair")
-
-    sub = command("from-hull", _cmd_from_hull, "rebuild an ideal pair from its hull")
-    sub.add_argument("-H", "--hull", required=True, help="hull JSON")
-
-    sub = command("closure", _cmd_closure, "closure membership for primitives")
-    sub.add_argument("-X", "--prims", required=True, help="JSON list of primitives")
-    sub.add_argument("-t", "--target", required=True, help="target primitive")
-
-    sub = command("contains", _cmd_contains, "ideal containment in a primitive")
-    sub.add_argument("-p", "--pair", required=True, help="ideal pair")
-    sub.add_argument("-r", "--prim", required=True, help="primitive ideal")
-
-    sub = command("gauge-lattice", _cmd_gauge_lattice, "gauge-invariant sublattice")
-    sub.add_argument("--dot", action="store_true", help="emit a DOT Hasse diagram")
-
-    sub = command("oracle", _cmd_oracle, "run the self-check oracles")
-    sub.add_argument("--seed", type=int, default=0, help="random seed")
-    sub.add_argument("--samples", type=int, default=6, help="sample size per check")
-
+        for *names, flag_help, reader in flags:
+            options = {"required": True} if isinstance(reader, str) else reader
+            sub.add_argument(*names, help=flag_help, **options)
     return parser
 
 
@@ -279,14 +230,33 @@ def main(argv=None) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as err:
         return 0 if err.code in (0, None) else 2
+    _, payload_of, *flags = _COMMANDS[args.command]
     try:
-        return args.handler(args)
+        graph = validate(jsonio.graph_from_json(_load_json(args.graph)))
+        values = []
+        for *names, _, reader in flags:
+            # argparse stores each flag under its long name
+            value = getattr(args, names[-1].lstrip("-"))
+            if isinstance(reader, str):
+                value = getattr(jsonio, reader)(graph, _load_json(value))
+            values.append(value)
+        payload = payload_of(graph, *values)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (GraphAlgebraError, ValueError, KeyError, TypeError) as err:
+    except (GraphAlgebraError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except Exception:
+        # anything else is a bug here, not bad input: keep its traceback
+        import traceback
+
+        traceback.print_exc()
+        return 4
+    # a DOT diagram is the one payload that is text, not JSON
+    print(payload if isinstance(payload, str) else jsonio.canonical_dumps(payload))
+    # the oracle's report is the one payload that carries a verdict
+    return 3 if isinstance(payload, dict) and payload.get("pass") is False else 0
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 Printing followed by parsing is the identity on canonical values, and
 printing is deterministic: keys are sorted and all orderings are the
 canonical ones chosen by the constructing modules.  Parsing is strict:
-lists must be JSON arrays, and angles fraction strings or integers.
+lists must be JSON arrays, vertex and edge ids JSON strings, and angles
+fraction strings or integers.
 """
 
 from __future__ import annotations
@@ -24,6 +25,13 @@ def canonical_dumps(value) -> str:
 def _array(value, what: str) -> list:
     if not isinstance(value, list):
         raise ValueError(f"{what} must be a JSON array, not {type(value).__name__}")
+    return value
+
+
+def _ids(value, what: str) -> list:
+    for item in _array(value, what):
+        if not isinstance(item, str):
+            raise ValueError(f"{what} holds {item!r}, but ids must be JSON strings")
     return value
 
 
@@ -54,14 +62,13 @@ def graph_to_json(graph: DirectedGraph) -> dict:
 def graph_from_json(data) -> DirectedGraph:
     if not isinstance(data, dict):
         raise ValueError("graph JSON must be an object")
-    rows = []
-    for entry in data.get("edges", []):
-        if not isinstance(entry, dict) or not {"id", "src", "rng"} <= entry.keys():
-            raise ValueError(
-                "each edge must be an object with 'id', 'src' and 'rng' fields"
-            )
-        rows.append((entry["id"], entry["src"], entry["rng"]))
-    return DirectedGraph(_array(data.get("vertices", []), "'vertices'"), rows)
+    edges = data.get("edges", [])
+    if not isinstance(edges, list) or not all(
+        isinstance(entry, dict) and {"id", "src", "rng"} <= entry.keys() for entry in edges
+    ):
+        raise ValueError("'edges' must be an array of objects with 'id', 'src' and 'rng' fields")
+    rows = [_ids([entry["id"], entry["src"], entry["rng"]], "an edge") for entry in edges]
+    return DirectedGraph(_ids(data.get("vertices", []), "'vertices'"), rows)
 
 
 def open_set_to_json(value: OpenCircleSet):
@@ -119,13 +126,13 @@ def tail_to_json(tail: MaximalTail) -> dict:
 def tail_from_json(graph: DirectedGraph, data) -> MaximalTail:
     if not isinstance(data, dict) or "vertices" not in data:
         raise ValueError("a maximal tail must be an object with a 'vertices' field")
-    tail = classify_tail(graph, _array(data["vertices"], "a tail's 'vertices'"))
+    tail = classify_tail(graph, _ids(data["vertices"], "a tail's 'vertices'"))
     declared_kind = data.get("kind")
     if declared_kind is not None and declared_kind != tail.kind:
         raise ValueError(f"tail {data['vertices']} is {tail.kind}, not {declared_kind}")
     declared_cycle = data.get("cycle")
     if declared_cycle is not None and Cycle(
-        tuple(_array(declared_cycle, "a tail's 'cycle'"))
+        tuple(_ids(declared_cycle, "a tail's 'cycle'"))
     ) != tail.cycle:
         raise ValueError(f"tail {data['vertices']} has cycle {tail.cycle}")
     declared_period = data.get("period")
@@ -144,6 +151,10 @@ def prim_from_json(graph: DirectedGraph, data) -> PrimitiveIdeal:
             "a primitive ideal must be an object with 'tail' and 'z' fields"
         )
     return PrimitiveIdeal(tail_from_json(graph, data["tail"]), _angle(data["z"]))
+
+
+def prims_from_json(graph: DirectedGraph, data) -> list[PrimitiveIdeal]:
+    return [prim_from_json(graph, item) for item in _array(data, "a list of primitives")]
 
 
 def pair_to_json(pair: IdealPair) -> dict:
@@ -165,9 +176,13 @@ def pair_from_json(graph: DirectedGraph, data) -> IdealPair:
             raise ValueError(
                 "each 'U' entry must be an object with 'cycle' and 'set' fields"
             )
-        cycle = tuple(_array(entry["cycle"], "a 'U' entry's 'cycle'"))
+        cycle = tuple(_ids(entry["cycle"], "a 'U' entry's 'cycle'"))
         assignment.append((cycle, open_set_from_json(entry["set"])))
-    return ideal_pair(graph, _array(data.get("H", []), "'H'"), assignment)
+    return ideal_pair(graph, _ids(data.get("H", []), "'H'"), assignment)
+
+
+def pairs_from_json(graph: DirectedGraph, data) -> list[IdealPair]:
+    return [pair_from_json(graph, item) for item in _array(data, "a list of ideal pairs")]
 
 
 def hull_to_json(shape: Hull) -> list:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import io
 import json
+import re
 import subprocess
 import sys
 
@@ -206,6 +207,11 @@ class TestInputConventions:
         assert code == 2
         assert "invalid JSON" in err
 
+    def test_json_nested_too_deeply_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "hull", "-g", G_LOOP, "-p", "[" * 100_000)
+        assert code == 2 and out == ""
+        assert err.startswith("error: invalid JSON") and err.count("\n") == 1
+
 
 class TestExitCodes:
     def test_domain_error_is_one(self, capsys):
@@ -342,4 +348,129 @@ class TestStartUp:
         )
         loaded = set(ast.literal_eval(result.stdout))
         assert "prim_lattice.cli" in loaded
-        assert not loaded & {"dataclasses", "inspect", "prim_lattice.oracle"}
+        assert not loaded & {"dataclasses", "inspect", "prim_lattice.oracle", "traceback"}
+
+
+class TestListFlags:
+    """``-P`` and ``-X`` take JSON arrays: an object is not an empty list."""
+
+    PRIM = '{"tail":{"vertices":["v"]},"z":"0"}'
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("closure", "-g", G_LOOP, "-X", "{}", "-t", PRIM),
+            ("meet", "-g", G_LOOP, "-P", "{}"),
+            ("join", "-g", G_LOOP, "-P", "{}"),
+        ],
+        ids=["closure-X", "meet-P", "join-P"],
+    )
+    def test_object_for_a_list(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "must be a JSON array" in err
+
+
+class TestStringIds:
+    """Vertex and edge ids are JSON strings; nothing is coerced with ``str``."""
+
+    PRIM = '{"tail":{"vertices":["v"]},"z":"0"}'
+    PAIR = '{"H":[],"U":[{"cycle":["a"],"set":"empty"}]}'
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("validate", "-g", '{"vertices":["v"],"edges":[{"id":null,"src":"v","rng":"v"}]}'),
+            ("validate", "-g", '{"vertices":["1"],"edges":[{"id":"a","src":1,"rng":"1"}]}'),
+            ("validate", "-g", '{"vertices":["1"],"edges":[{"id":"a","src":"1","rng":true}]}'),
+            ("validate", "-g", '{"vertices":[1],"edges":[{"id":"a","src":"1","rng":"1"}]}'),
+            ("hull", "-g", G_LOOP, "-p", '{"H":[[1]],"U":[]}'),
+            ("hull", "-g", G_LOOP, "-p", '{"H":[],"U":[{"cycle":[1],"set":"empty"}]}'),
+            ("contains", "-g", G_LOOP, "-p", PAIR, "-r", '{"tail":{"vertices":[1]},"z":"0"}'),
+            ("contains", "-g", G_LOOP, "-p", PAIR, "-r", '{"tail":{"vertices":["v"],"cycle":[{}]},"z":"0"}'),
+            ("from-hull", "-g", G_LOOP, "-H", '[{"tail":{"vertices":[null]},"allowed":"full"}]'),
+        ],
+        ids=[
+            "edge-id", "edge-src", "edge-rng", "graph-vertices", "pair-H",
+            "pair-U-cycle", "tail-vertices", "tail-cycle", "hull-tail-vertices",
+        ],
+    )
+    def test_non_string_id(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "ids must be JSON strings" in err
+
+    def test_edges_must_be_an_array(self, capsys):
+        code, out, err = run(capsys, "validate", "-g", '{"vertices":["v"],"edges":null}')
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "'id', 'src' and 'rng'" in err
+
+
+class TestInternalErrors:
+    """A bug in the package exits 4 with its traceback, never 1."""
+
+    @pytest.mark.parametrize(
+        "function, argv, error",
+        [
+            ("pair_meet", ("meet", "-g", G_LOOP, "-P", "[]"), TypeError),
+            ("hull", ("hull", "-g", G_LOOP, "-p", '{"H":[],"U":[{"cycle":["a"],"set":"empty"}]}'), KeyError),
+        ],
+        ids=["TypeError", "KeyError"],
+    )
+    def test_bug_exits_four(self, capsys, monkeypatch, function, argv, error):
+        from prim_lattice import cli
+
+        def broken(*args):
+            raise error("planted bug")
+
+        monkeypatch.setattr(cli, function, broken)
+        code, out, err = run(capsys, *argv)
+        assert code == 4 and out == ""
+        assert err.startswith("Traceback") and f"{error.__name__}: " in err
+
+
+# each command's flags besides -h/--help and -g/--graph, and which are required
+COMMAND_FLAGS = {
+    "validate": ([], []),
+    "tails": ([], []),
+    "prims": ([], []),
+    "sat-hered": ([], []),
+    "leq": (["-p", "--first", "-q", "--second"], ["-p", "-q"]),
+    "meet": (["-P", "--pairs"], ["-P"]),
+    "join": (["-P", "--pairs"], ["-P"]),
+    "hull": (["-p", "--pair"], ["-p"]),
+    "from-hull": (["-H", "--hull"], ["-H"]),
+    "closure": (["-X", "--prims", "-t", "--target"], ["-X", "-t"]),
+    "contains": (["-p", "--pair", "-r", "--prim"], ["-p", "-r"]),
+    "gauge-lattice": (["--dot"], []),
+    "oracle": (["--seed", "--samples"], []),
+}
+
+
+class TestCommandFlags:
+    def test_every_command_is_listed(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        assert code == 0
+        assert set(re.search(r"\{([\w,-]+)\}", out).group(1).split(",")) == set(COMMAND_FLAGS)
+
+    @pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+    def test_help_names_exactly_the_flags(self, capsys, command):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0
+        named = set(re.findall(r"(?<![\w-])--?[A-Za-z][\w-]*", out))
+        assert named == {"-h", "--help", "-g", "--graph", *COMMAND_FLAGS[command][0]}
+
+    @pytest.mark.parametrize(
+        "command, omitted",
+        [(c, f) for c, (_, required) in COMMAND_FLAGS.items() for f in ["-g", *required]],
+    )
+    def test_leaving_out_a_required_flag_is_usage_error(self, capsys, command, omitted):
+        argv = [command]
+        for flag in ["-g", *COMMAND_FLAGS[command][1]]:
+            if flag != omitted:
+                argv += [flag, G_LOOP]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"the following arguments are required: {omitted}" in err

@@ -58,6 +58,8 @@ class TestGraphCodec:
             jsonio.graph_from_json({"vertices": ["v"], "edges": {"a": ["v", "v"]}})
         with pytest.raises(ValueError, match="'id', 'src' and 'rng'"):
             jsonio.graph_from_json({"vertices": ["v"], "edges": [{"id": "a"}]})
+        with pytest.raises(ValueError, match="'id', 'src' and 'rng'"):
+            jsonio.graph_from_json({"vertices": ["v"], "edges": None})
 
 
 class TestCircleCodecs:
@@ -166,6 +168,21 @@ class TestLatticeCodecs:
             jsonio.pair_from_json(g_loop, [["a", "full"]])
         with pytest.raises(ValueError, match="'cycle' and 'set'"):
             jsonio.pair_from_json(g_loop, {"H": [], "U": [["a", "full"]]})
+
+    def test_list_readers_decode_each_item(self):
+        pairs = [random_ideal_pair(random.Random(seed), g_flow) for seed in range(3)]
+        data = [jsonio.pair_to_json(p) for p in pairs]
+        assert jsonio.pairs_from_json(g_flow, data) == pairs
+        prims = [random_primitive(random.Random(seed), g_flow) for seed in range(3)]
+        data = [jsonio.prim_to_json(p) for p in prims]
+        assert jsonio.prims_from_json(g_flow, data) == prims
+
+    @pytest.mark.parametrize("data", [{}, "[]", None])
+    def test_list_readers_want_arrays(self, data):
+        with pytest.raises(ValueError, match="must be a JSON array"):
+            jsonio.pairs_from_json(g_loop, data)
+        with pytest.raises(ValueError, match="must be a JSON array"):
+            jsonio.prims_from_json(g_loop, data)
 
     def test_hull_round_trip(self):
         rng, graphs = _corpus(seed=181)

@@ -1,8 +1,11 @@
-"""Every name the benchmark's tracer wraps still exists in the program.
+"""The benchmark's tracer still finds and sees the program's functions.
 
 ``perfbench/spans.py`` looks functions and circle-set methods up by
 name when ``perfbench/run.py --trace 1`` installs its spans, so removing
-or renaming one of them would only fail there.  This test fails first.
+or renaming one of them would only fail there.  It also patches module
+namespaces, so a function the CLI reaches through a stored reference,
+rather than a module lookup at call time, would go untraced.  These
+tests fail first.
 """
 
 from __future__ import annotations
@@ -10,8 +13,11 @@ from __future__ import annotations
 import importlib
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+
+from prim_lattice import circle, cli, graph, jsonio, lattice, tails
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -41,3 +47,49 @@ def test_traced_circle_methods_exist(class_name):
     for method in spans.CIRCLE_METHODS:
         # spans.py patches the method found in the class's own namespace
         assert callable(vars(cls).get(method)), f"{class_name}.{method}"
+
+
+G_LOOP = '{"vertices":["v"],"edges":[{"id":"a","src":"v","rng":"v"}]}'
+PAIR = '{"H":[],"U":[{"cycle":["a"],"set":[["0","1/2"]]}]}'
+PRIM = '{"tail":{"vertices":["v"]},"z":"1/4"}'
+HULL = '[{"allowed":{"arcs":[["1/2","1"]],"points":[]},"tail":{"vertices":["v"]}}]'
+
+
+@pytest.fixture
+def tracer():
+    """A tracer installed as ``perfbench/run.py`` installs it, and removed after."""
+    traced = spans.Tracer()
+    traced.install(
+        SimpleNamespace(circle=circle, cli=cli, graph=graph, jsonio=jsonio, lattice=lattice, tails=tails)
+    )
+    try:
+        yield traced
+    finally:
+        traced.uninstall()
+
+
+@pytest.mark.parametrize(
+    "argv, reads, operation",
+    [
+        (["hull", "-g", G_LOOP, "-p", PAIR], {"jsonio.pair_from_json": 1}, "lattice.hull"),
+        (["meet", "-g", G_LOOP, "-P", f"[{PAIR},{PAIR}]"], {"jsonio.pair_from_json": 2}, "lattice.pair_meet"),
+        (
+            ["closure", "-g", G_LOOP, "-X", f"[{PRIM}]", "-t", PRIM],
+            {"jsonio.prim_from_json": 2},
+            "lattice.closure_contains",
+        ),
+        (["from-hull", "-g", G_LOOP, "-H", HULL], {"jsonio.hull_from_json": 1}, "lattice.hull_to_pair"),
+    ],
+    ids=["hull", "meet", "closure", "from-hull"],
+)
+def test_tracer_sees_each_layer_of_a_command(tracer, capsys, argv, reads, operation):
+    tracer.begin(0)
+    try:
+        assert cli.main(argv) == 0, capsys.readouterr().err
+    finally:
+        tracer.finish()
+    calls = {name: stats["calls"] for name, stats in tracer.reduce().items()}
+    # every decoded document is one reader call, list items included
+    assert {name: calls.get(name, 0) for name in reads} == reads
+    for name in ["jsonio.graph_from_json", "graph.validate", operation]:
+        assert calls.get(name, 0) > 0, f"{name} untraced; traced: {sorted(calls)}"
