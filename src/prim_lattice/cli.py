@@ -5,6 +5,13 @@ JSON (anything starting with ``{``, ``[`` or ``"``).  Output is one
 canonical JSON document on stdout; diagnostics go to stderr.  Exit
 codes: 0 success, 1 domain error, 2 usage error, 3 oracle mismatch,
 4 internal error (a bug in this package; its traceback goes to stderr).
+
+A run loads only what its command uses.  Its parser holds that one
+command; top-level help and an unknown command get the full parser.
+``validate``, ``tails``, ``sat-hered`` and ``gauge-lattice`` never import
+the circle arithmetic, the lattice module or ``fractions``, and only
+``oracle`` imports the oracle.  Error lines quote at most 120 characters
+of the input they echo.
 """
 
 from __future__ import annotations
@@ -12,21 +19,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from importlib import import_module
 
 from . import jsonio
 from .errors import GraphAlgebraError
 from .graph import enumerate_saturated_hereditary, validate
-from .lattice import (
-    closure_contains,
-    contained_in_prim,
-    enumerate_primitive_strata,
-    hull,
-    hull_to_pair,
-    pair_join,
-    pair_leq,
-    pair_meet,
-)
-from .tails import enumerate_maximal_tails
 
 
 class UsageError(Exception):
@@ -43,12 +40,14 @@ def _load_json(argument: str):
             with open(argument, "r", encoding="utf-8") as handle:
                 text = handle.read()
         except OSError as err:
-            raise UsageError(f"cannot read {argument!r}: {err}") from err
+            raise UsageError(
+                f"cannot read {jsonio.excerpt(repr(argument))}: {jsonio.excerpt(str(err))}"
+            ) from err
     try:
         return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as err:
         # the parser recurses once per nesting level, so deep input is a usage error
-        raise UsageError(f"invalid JSON in {argument!r}: {err}") from err
+        raise UsageError(f"invalid JSON in {jsonio.excerpt(repr(argument))}: {err}") from err
 
 
 def _covers(sets):
@@ -105,6 +104,7 @@ def _oracle(graph, seed: int, samples: int) -> dict:
         random_ideal_pair,
         random_primitive,
     )
+    from .tails import enumerate_maximal_tails
 
     rng = random.Random(seed)
     checks = {}
@@ -132,20 +132,26 @@ def _oracle(graph, seed: int, samples: int) -> dict:
     return {"pass": all(entry["pass"] for entry in checks.values()), "checks": checks}
 
 
+def _module(name: str):
+    """This package's module ``name``, imported when a command first uses it."""
+    return import_module(f".{name}", __package__)
+
+
 # name -> (help, payload function, flags after ``-g`` in declaration order).
 # The function takes the graph and the decoded flags.  A data flag names its
 # jsonio reader; an option flag gives its argparse settings.  Readers are
-# looked up in jsonio, and the functions find the lattice operations as
-# module globals, at call time, so a wrapper patched into a module sees them.
+# looked up in jsonio, and the functions look each operation up on its
+# module, at call time, so a command imports only the modules it uses and a
+# wrapper patched into a module sees the calls.
 _COMMANDS = {
     "validate": ("check a graph and echo it canonically", lambda g: jsonio.graph_to_json(g)),
     "tails": (
         "list the maximal tails",
-        lambda g: [jsonio.tail_to_json(t) for t in enumerate_maximal_tails(g)],
+        lambda g: [jsonio.tail_to_json(t) for t in _module("tails").enumerate_maximal_tails(g)],
     ),
     "prims": (
         "list the primitive-ideal strata",
-        lambda g: jsonio.strata_to_json(enumerate_primitive_strata(g)),
+        lambda g: jsonio.strata_to_json(_module("lattice").enumerate_primitive_strata(g)),
     ),
     "sat-hered": (
         "list the saturated hereditary sets",
@@ -153,39 +159,41 @@ _COMMANDS = {
     ),
     "leq": (
         "compare two ideal pairs",
-        lambda g, first, second: {"leq": pair_leq(g, first, second)},
+        lambda g, first, second: {"leq": _module("lattice").pair_leq(g, first, second)},
         ("-p", "--first", "left ideal pair", "pair_from_json"),
         ("-q", "--second", "right ideal pair", "pair_from_json"),
     ),
     "meet": (
         "intersect a list of ideal pairs",
-        lambda g, pairs: jsonio.pair_to_json(pair_meet(g, pairs)),
+        lambda g, pairs: jsonio.pair_to_json(_module("lattice").pair_meet(g, pairs)),
         ("-P", "--pairs", "JSON list of ideal pairs", "pairs_from_json"),
     ),
     "join": (
         "join a list of ideal pairs",
-        lambda g, pairs: jsonio.pair_to_json(pair_join(g, pairs)),
+        lambda g, pairs: jsonio.pair_to_json(_module("lattice").pair_join(g, pairs)),
         ("-P", "--pairs", "JSON list of ideal pairs", "pairs_from_json"),
     ),
     "hull": (
         "primitive ideals containing an ideal",
-        lambda g, pair: jsonio.hull_to_json(hull(g, pair)),
+        lambda g, pair: jsonio.hull_to_json(_module("lattice").hull(g, pair)),
         ("-p", "--pair", "ideal pair", "pair_from_json"),
     ),
     "from-hull": (
         "rebuild an ideal pair from its hull",
-        lambda g, shape: jsonio.pair_to_json(hull_to_pair(g, shape)),
+        lambda g, shape: jsonio.pair_to_json(_module("lattice").hull_to_pair(g, shape)),
         ("-H", "--hull", "hull JSON", "hull_from_json"),
     ),
     "closure": (
         "closure membership for primitives",
-        lambda g, prims, target: {"contained": closure_contains(g, prims, target)},
+        lambda g, prims, target: {
+            "contained": _module("lattice").closure_contains(g, prims, target)
+        },
         ("-X", "--prims", "JSON list of primitives", "prims_from_json"),
         ("-t", "--target", "target primitive", "prim_from_json"),
     ),
     "contains": (
         "ideal containment in a primitive",
-        lambda g, pair, prim: {"contained": contained_in_prim(g, pair, prim)},
+        lambda g, pair, prim: {"contained": _module("lattice").contained_in_prim(g, pair, prim)},
         ("-p", "--pair", "ideal pair", "pair_from_json"),
         ("-r", "--prim", "primitive ideal", "prim_from_json"),
     ),
@@ -203,7 +211,13 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser for ``command`` alone, or for every command if it is None.
+
+    Given the same arguments, a one-command parser prints the same help,
+    usage and errors as the full one; ``main`` uses it only when the
+    arguments start with its command.
+    """
     parser = argparse.ArgumentParser(
         prog="prim-lattice",
         description=(
@@ -211,8 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
             "finite source-free directed graph."
         ),
     )
-    commands = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, *flags) in _COMMANDS.items():
+    # the usage names every command either way; on the full parser a metavar
+    # would also rename the command in its "invalid choice" error
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    commands = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else [command]:
+        help_text, _, *flags = _COMMANDS[name]
         sub = commands.add_parser(name, help=help_text)
         sub.add_argument("-g", "--graph", required=True, help="graph JSON")
         for *names, flag_help, reader in flags:
@@ -221,13 +239,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# built once per process, since in-process callers run many commands
-_PARSER = build_parser()
+# command (None for all of them) -> its parser, built at most once per
+# process, since in-process callers run many commands
+_PARSERS: dict = {}
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # help before a command, or an unknown one, needs the full parser
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    if command not in _PARSERS:
+        _PARSERS[command] = build_parser(command)
     try:
-        args = _PARSER.parse_args(argv)
+        args = _PARSERS[command].parse_args(argv)
     except SystemExit as err:
         return 0 if err.code in (0, None) else 2
     _, payload_of, *flags = _COMMANDS[args.command]

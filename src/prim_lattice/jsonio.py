@@ -10,16 +10,26 @@ fraction strings or integers.
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
-from .circle import ClosedCircleSet, OpenCircleSet, format_angle
 from .errors import MalformedHullError, NotAMaximalTailError
 from .graph import Cycle, DirectedGraph
-from .lattice import Hull, HullEntry, IdealPair, PrimitiveIdeal, ideal_pair
-from .tails import MaximalTail, classify_tail
+
+# circle, lattice and tails are imported by the codecs that use them, so
+# reading and writing a graph loads none of them (nor ``fractions``)
+if TYPE_CHECKING:
+    from .circle import ClosedCircleSet, OpenCircleSet
+    from .lattice import Hull, IdealPair, PrimitiveIdeal
+    from .tails import MaximalTail
 
 
 def canonical_dumps(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+def excerpt(text: str) -> str:
+    """``text`` cut to 120 characters, for echoing input in an error line."""
+    return text if len(text) <= 120 else text[:117] + "..."
 
 
 def _array(value, what: str) -> list:
@@ -31,13 +41,13 @@ def _array(value, what: str) -> list:
 def _ids(value, what: str) -> list:
     for item in _array(value, what):
         if not isinstance(item, str):
-            raise ValueError(f"{what} holds {item!r}, but ids must be JSON strings")
+            raise ValueError(f"{what} holds {excerpt(repr(item))}, but ids must be JSON strings")
     return value
 
 
 def _angle(value, what: str = "angle"):
     if isinstance(value, bool) or not isinstance(value, (str, int)):
-        raise ValueError(f"{what} {value!r} must be a fraction string or an integer")
+        raise ValueError(f"{what} {excerpt(repr(value))} must be a fraction string or an integer")
     return value
 
 
@@ -72,6 +82,8 @@ def graph_from_json(data) -> DirectedGraph:
 
 
 def open_set_to_json(value: OpenCircleSet):
+    from .circle import format_angle
+
     if value.is_full:
         return "full"
     if value.is_empty():
@@ -80,6 +92,8 @@ def open_set_to_json(value: OpenCircleSet):
 
 
 def open_set_from_json(data) -> OpenCircleSet:
+    from .circle import OpenCircleSet
+
     if data == "full":
         return OpenCircleSet.full()
     if data == "empty":
@@ -90,6 +104,8 @@ def open_set_from_json(data) -> OpenCircleSet:
 
 
 def closed_set_to_json(value: ClosedCircleSet):
+    from .circle import format_angle
+
     if value.is_full:
         return "full"
     if value.is_empty():
@@ -101,6 +117,8 @@ def closed_set_to_json(value: ClosedCircleSet):
 
 
 def closed_set_from_json(data) -> ClosedCircleSet:
+    from .circle import ClosedCircleSet
+
     if data == "full":
         return ClosedCircleSet.full()
     if data == "empty":
@@ -124,12 +142,15 @@ def tail_to_json(tail: MaximalTail) -> dict:
 
 
 def tail_from_json(graph: DirectedGraph, data) -> MaximalTail:
+    from .tails import classify_tail
+
     if not isinstance(data, dict) or "vertices" not in data:
         raise ValueError("a maximal tail must be an object with a 'vertices' field")
     tail = classify_tail(graph, _ids(data["vertices"], "a tail's 'vertices'"))
     declared_kind = data.get("kind")
     if declared_kind is not None and declared_kind != tail.kind:
-        raise ValueError(f"tail {data['vertices']} is {tail.kind}, not {declared_kind}")
+        kind = excerpt(str(declared_kind))
+        raise ValueError(f"tail {data['vertices']} is {tail.kind}, not {kind}")
     declared_cycle = data.get("cycle")
     if declared_cycle is not None and Cycle(
         tuple(_ids(declared_cycle, "a tail's 'cycle'"))
@@ -142,10 +163,14 @@ def tail_from_json(graph: DirectedGraph, data) -> MaximalTail:
 
 
 def prim_to_json(prim: PrimitiveIdeal) -> dict:
+    from .circle import format_angle
+
     return {"tail": tail_to_json(prim.tail), "z": format_angle(prim.angle)}
 
 
 def prim_from_json(graph: DirectedGraph, data) -> PrimitiveIdeal:
+    from .lattice import PrimitiveIdeal
+
     if not isinstance(data, dict) or not {"tail", "z"} <= data.keys():
         raise ValueError(
             "a primitive ideal must be an object with 'tail' and 'z' fields"
@@ -168,6 +193,8 @@ def pair_to_json(pair: IdealPair) -> dict:
 
 
 def pair_from_json(graph: DirectedGraph, data) -> IdealPair:
+    from .lattice import ideal_pair
+
     if not isinstance(data, dict):
         raise ValueError("an ideal pair must be an object with 'H' and 'U' fields")
     assignment = []
@@ -193,6 +220,8 @@ def hull_to_json(shape: Hull) -> list:
 
 
 def hull_from_json(graph: DirectedGraph, data) -> Hull:
+    from .lattice import Hull, HullEntry
+
     if not isinstance(data, list):
         raise MalformedHullError("hull JSON must be a list of strata")
     entries = []

@@ -213,6 +213,30 @@ class TestInputConventions:
         assert err.startswith("error: invalid JSON") and err.count("\n") == 1
 
 
+class TestBoundedEcho:
+    """An error line quotes only a short prefix of the input it echoes."""
+
+    DEEP = "[" * 900 + "]" * 900
+    FULL = '{"H":["v"]}'
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (("hull", "-g", G_LOOP, "-p", "[" * 100_000), 2),
+            (("tails", "-g", "x" * 100_000), 2),
+            (("hull", "-g", G_LOOP, "-p", '{"H":%s,"U":[]}' % DEEP), 1),
+            (("contains", "-g", G_LOOP, "-p", FULL, "-r", '{"tail":{"vertices":["v"]},"z":%s}' % DEEP), 1),
+            (("contains", "-g", G_LOOP, "-p", FULL, "-r", '{"tail":{"vertices":["v"],"kind":%s},"z":0}' % DEEP), 1),
+        ],
+        ids=["deep-argument", "long-path", "deep-H", "deep-angle", "deep-kind"],
+    )
+    def test_one_short_line(self, capsys, argv, expected):
+        code, out, err = run(capsys, *argv)
+        assert code == expected and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err.encode()) < 300
+
+
 class TestExitCodes:
     def test_domain_error_is_one(self, capsys):
         sourced = '{"vertices":["u"],"edges":[]}'
@@ -252,6 +276,12 @@ class TestInstalledEntryPoint:
         )
         assert result.returncode == 0
         assert result.stdout == '[[],["u"],["u","v"]]\n'
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        # the console script ``prim_lattice.cli:main`` is called with no arguments
+        monkeypatch.setattr(sys, "argv", ["prim-lattice", "sat-hered", "-g", G_FLOW])
+        assert main() == 0
+        assert capsys.readouterr().out == '[[],["u"],["u","v"]]\n'
 
 
 class TestBadAngles:
@@ -323,18 +353,36 @@ class TestStrictShapes:
 
 class TestParserReuse:
     def test_main_reuses_one_parser(self, capsys, monkeypatch):
+        """Each command's parser, and the full one, is built at most once."""
         from prim_lattice import cli
 
-        def no_second_parser():
-            raise AssertionError("main built a parser")
+        built = []
+        build = cli.build_parser
 
-        monkeypatch.setattr(cli, "build_parser", no_second_parser)
-        assert run(capsys, "tails", "-g", G_LOOP)[0] == 0
-        assert run(capsys, "frobnicate")[0] == 2
-        assert run(capsys, "tails")[0] == 2
-        assert run(capsys, "--help")[0] == 0
+        def counted(command=None):
+            built.append(command)
+            return build(command)
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        monkeypatch.setattr(cli, "_PARSERS", {})
+        for _ in range(2):
+            assert run(capsys, "tails", "-g", G_LOOP)[0] == 0
+            assert run(capsys, "frobnicate")[0] == 2
+            assert run(capsys, "tails")[0] == 2
+            assert run(capsys, "--help")[0] == 0
+            assert run(capsys, "sat-hered", "-g", G_FLOW)[0] == 0
+        assert sorted(built, key=str) == [None, "sat-hered", "tails"]
         code, out, _ = run(capsys, "tails", "-g", G_FLOW)
         assert (code, out) == (0, FLOW_TAILS + "\n")
+
+
+def _fresh_modules(code: str) -> set:
+    """The modules a fresh interpreter holds after running ``code``."""
+    probe = f"import sys\n{code}\nprint(sorted(sys.modules))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    return set(ast.literal_eval(result.stdout.splitlines()[-1]))
 
 
 class TestStartUp:
@@ -349,6 +397,32 @@ class TestStartUp:
         loaded = set(ast.literal_eval(result.stdout))
         assert "prim_lattice.cli" in loaded
         assert not loaded & {"dataclasses", "inspect", "prim_lattice.oracle", "traceback"}
+
+    def test_package_import_loads_no_submodule(self):
+        loaded = _fresh_modules("import prim_lattice")
+        assert "prim_lattice" in loaded
+        assert not [name for name in loaded if name.startswith("prim_lattice.")]
+
+    @pytest.mark.parametrize("command", ["validate", "tails", "sat-hered", "gauge-lattice"])
+    def test_graph_commands_skip_circle_and_lattice(self, command):
+        result = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "prim_lattice.cli", command, "-g", G_FLOW],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0 and result.stdout
+        # -X importtime writes one "import time: self | cumulative | name" line per import
+        imported = {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines()}
+        assert {"prim_lattice.jsonio", "prim_lattice.graph"} <= imported
+        assert not imported & {"fractions", "prim_lattice.circle", "prim_lattice.lattice"}
+
+    def test_every_exported_name_resolves(self):
+        loaded = _fresh_modules(
+            "import prim_lattice\n"
+            "missing = [n for n in prim_lattice.__all__ if getattr(prim_lattice, n, None) is None]\n"
+            "assert not missing, missing",
+        )
+        assert {"prim_lattice.lattice", "prim_lattice.oracle"} <= loaded
 
 
 class TestListFlags:
@@ -420,12 +494,13 @@ class TestInternalErrors:
         ids=["TypeError", "KeyError"],
     )
     def test_bug_exits_four(self, capsys, monkeypatch, function, argv, error):
-        from prim_lattice import cli
+        # the CLI looks each operation up on its module when the command runs
+        from prim_lattice import lattice
 
         def broken(*args):
             raise error("planted bug")
 
-        monkeypatch.setattr(cli, function, broken)
+        monkeypatch.setattr(lattice, function, broken)
         code, out, err = run(capsys, *argv)
         assert code == 4 and out == ""
         assert err.startswith("Traceback") and f"{error.__name__}: " in err
@@ -474,3 +549,33 @@ class TestCommandFlags:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert f"the following arguments are required: {omitted}" in err
+
+
+class TestOneCommandParser:
+    """A parser that holds only the command being run prints and exits
+    byte for byte as the parser holding all of them does."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"],
+            *([command, "--help"] for command in COMMAND_FLAGS),
+            ["frobnicate", "-g", G_LOOP],
+            ["tails"],
+            ["leq", "-g", G_LOOP, "-p", "{}"],
+            ["oracle", "-g", G_LOOP, "--seed", "x"],
+            ["tails", "-g", G_LOOP, "extra"],
+            ["gauge-lattice", "-g", G_LOOP, "--dot", "--bogus"],
+        ],
+        ids=lambda argv: "_".join(a if len(a) < 20 else "G" for a in argv),
+    )
+    def test_same_as_the_full_parser(self, capsys, argv):
+        from prim_lattice import cli
+
+        code, out, err = run(capsys, *argv)
+        with pytest.raises(SystemExit) as done:
+            cli.build_parser().parse_args(argv)
+        full = capsys.readouterr()
+        assert (code, out, err) == (done.value.code, full.out, full.err)
+        if argv[0] == "frobnicate":
+            assert "argument command: invalid choice: 'frobnicate'" in err
