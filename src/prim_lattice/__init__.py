@@ -25,7 +25,8 @@ _EXPORTS = {
         "Cycle", "DirectedGraph", "cycle_base", "cycle_from_edges", "cycle_vertices",
         "entrance_free_cycles", "enumerate_saturated_hereditary", "hereditary_closure",
         "is_entrance_free", "is_hereditary", "is_saturated_hereditary",
-        "reachable_ranges", "saturated_hereditary_closure", "validate",
+        "reachable_ranges", "saturated_hereditary_closure", "saturated_hereditary_lattice",
+        "validate",
     ),
     "lattice": (
         "STRATUM_CIRCLE", "STRATUM_POINT", "Hull", "HullEntry", "IdealPair",

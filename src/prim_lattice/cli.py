@@ -22,8 +22,8 @@ import sys
 from importlib import import_module
 
 from . import jsonio
-from .errors import GraphAlgebraError
-from .graph import enumerate_saturated_hereditary, validate
+from .errors import GraphAlgebraError, excerpt
+from .graph import enumerate_saturated_hereditary, saturated_hereditary_lattice, validate
 
 
 class UsageError(Exception):
@@ -41,24 +41,14 @@ def _load_json(argument: str):
                 text = handle.read()
         except OSError as err:
             raise UsageError(
-                f"cannot read {jsonio.excerpt(repr(argument))}: {jsonio.excerpt(str(err))}"
+                f"cannot read {excerpt(repr(argument))}: {excerpt(str(err))}"
             ) from err
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as err:
-        # the parser recurses once per nesting level, so deep input is a usage error
-        raise UsageError(f"invalid JSON in {jsonio.excerpt(repr(argument))}: {err}") from err
-
-
-def _covers(sets):
-    below = []
-    for small in sets:
-        for large in sets:
-            if small < large and not any(
-                small < mid < large for mid in sets
-            ):
-                below.append((small, large))
-    return below
+    except (ValueError, RecursionError) as err:
+        # the parser recurses once per nesting level, so deep input is a usage
+        # error; an integer too long to convert is a ValueError, not a JSONDecodeError
+        raise UsageError(f"invalid JSON in {excerpt(repr(argument))}: {err}") from err
 
 
 def _set_label(vertices) -> str:
@@ -66,21 +56,15 @@ def _set_label(vertices) -> str:
 
 
 def _gauge_lattice(graph, dot: bool):
-    sets = enumerate_saturated_hereditary(graph)
-    covers = _covers(sets)
+    sets, covers = saturated_hereditary_lattice(graph)
     if dot:
+        labels = [_set_label(h) for h in sets]
         lines = ["digraph gauge_lattice {", "  rankdir=BT;"]
-        for h in sets:
-            lines.append(f'  "{_set_label(h)}";')
-        for small, large in covers:
-            lines.append(f'  "{_set_label(small)}" -> "{_set_label(large)}";')
+        lines += [f'  "{label}";' for label in labels]
+        lines += [f'  "{labels[a]}" -> "{labels[b]}";' for a, b in covers]
         lines.append("}")
         return "\n".join(lines)
-    index = {h: i for i, h in enumerate(sets)}
-    return {
-        "sets": [sorted(h) for h in sets],
-        "covers": [[index[a], index[b]] for a, b in covers],
-    }
+    return {"sets": [sorted(h) for h in sets], "covers": covers}
 
 
 def _agreement(fast: list, brute: list) -> dict:

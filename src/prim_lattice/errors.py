@@ -1,6 +1,11 @@
 """Exception types shared across the package."""
 
 
+def excerpt(text: str) -> str:
+    """``text`` cut to 120 characters, for echoing input in an error line."""
+    return text if len(text) <= 120 else text[:117] + "..."
+
+
 class GraphAlgebraError(Exception):
     """Base class for every domain error raised by this package."""
 
@@ -13,7 +18,7 @@ class SourceVertexError(GraphAlgebraError):
     """A vertex receives no edge, violating the source-free requirement."""
 
     def __init__(self, vertex):
-        super().__init__(f"vertex {vertex!r} has no incoming edge")
+        super().__init__(f"vertex {excerpt(repr(vertex))} has no incoming edge")
         self.vertex = vertex
 
 
@@ -21,7 +26,7 @@ class DanglingEndpointError(GraphAlgebraError):
     """An edge references a vertex that was never declared."""
 
     def __init__(self, edge):
-        super().__init__(f"edge {edge!r} references an undeclared vertex")
+        super().__init__(f"edge {excerpt(repr(edge))} references an undeclared vertex")
         self.edge = edge
 
 
@@ -29,7 +34,7 @@ class UnknownVertexError(GraphAlgebraError):
     """An operation was asked about a vertex the graph does not declare."""
 
     def __init__(self, vertex):
-        super().__init__(f"unknown vertex {vertex!r}")
+        super().__init__(f"unknown vertex {excerpt(repr(vertex))}")
         self.vertex = vertex
 
 

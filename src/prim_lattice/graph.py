@@ -31,6 +31,7 @@ from .errors import (
     NotACycleError,
     SourceVertexError,
     UnknownVertexError,
+    excerpt,
 )
 from .record import Record, set_field
 
@@ -57,7 +58,7 @@ class DirectedGraph:
         table = {}
         for eid, src, rng in sorted(rows):
             if eid in table:
-                raise ValueError(f"duplicate edge id {eid!r}")
+                raise ValueError(f"duplicate edge id {excerpt(repr(eid))}")
             table[eid] = (src, rng)
         self.edges = table
         ins = {v: [] for v in self.vertices}
@@ -69,6 +70,8 @@ class DirectedGraph:
                 outs[src].append(eid)
         self._in = {v: tuple(es) for v, es in ins.items()}
         self._out = {v: tuple(es) for v, es in outs.items()}
+        # in-degrees seed every saturation closure, which copies them
+        self._in_degree = {v: len(es) for v, es in ins.items()}
 
     def src(self, edge: str) -> str:
         return self.edges[edge][0]
@@ -139,10 +142,11 @@ def hereditary_closure(graph: DirectedGraph, subset: Iterable[str]) -> frozenset
     """
     closure = set(subset)
     stack = list(closure)
+    edges = graph.edges
     while stack:
         v = stack.pop()
         for e in graph.in_edges(v):
-            s = graph.src(e)
+            s = edges[e][0]
             if s not in closure:
                 closure.add(s)
                 stack.append(s)
@@ -150,18 +154,29 @@ def hereditary_closure(graph: DirectedGraph, subset: Iterable[str]) -> frozenset
 
 
 def _saturation_fixpoint(graph: DirectedGraph, start: frozenset) -> frozenset:
-    closure = set(start)
-    changed = True
-    while changed:
-        changed = False
-        for v in graph.vertices:
-            if v in closure:
-                continue
-            if all(graph.src(e) in closure for e in graph.in_edges(v)):
-                closure.add(v)
-                changed = True
-        if changed:
-            closure = set(hereditary_closure(graph, closure))
+    """Least saturated superset of the hereditary set ``start``.
+
+    Each vertex keeps a count of its in-edges whose source is not yet
+    known to be inside.  Every vertex inside lowers the counts of the
+    ranges of its out-edges once, and a vertex whose count reaches zero
+    joins, so each vertex and edge is handled once: O(V+E).  A vertex
+    joins only once all its feeders are inside, so the set stays
+    hereditary.
+    """
+    edges = graph.edges
+    waiting = graph._in_degree.copy()
+    # a vertex with no feeders at all is saturated vacuously
+    todo = list(start) + [v for v, count in waiting.items() if not count and v not in start]
+    closure = set(todo)
+    while todo:
+        for e in graph._out[todo.pop()]:
+            r = edges[e][1]
+            # a range the graph does not declare can never join
+            if r in waiting:
+                waiting[r] -= 1
+                if not waiting[r] and r not in closure:
+                    closure.add(r)
+                    todo.append(r)
     return frozenset(closure)
 
 
@@ -175,28 +190,52 @@ def is_saturated_hereditary(graph: DirectedGraph, subset: Iterable[str]) -> bool
     return sub == saturated_hereditary_closure(graph, sub)
 
 
+def saturated_hereditary_lattice(
+    graph: DirectedGraph,
+) -> tuple[list[frozenset], list[tuple[int, int]]]:
+    """The saturated hereditary sets and the Hasse covers between them.
+
+    The sets are sorted by size then members; each cover is a pair
+    ``(i, j)`` of indices into them with set ``j`` covering set ``i``,
+    and the covers are sorted.  The family grows from cl(∅) by joining
+    each set found with each distinct principal closure cl(v) it does not
+    contain.  Every member is the join of the principal closures of its
+    own vertices, so this reaches all L of them with at most L·P closures
+    for P distinct principal closures.  The upper covers of a set are
+    exactly the minimal sets among its joins: a cover T of S contains
+    some v outside S, and S ∨ cl(v) lies between them.
+    """
+    principals = {saturated_hereditary_closure(graph, frozenset({v})) for v in graph.vertices}
+    bottom = saturated_hereditary_closure(graph, frozenset())
+    position = {bottom: 0}
+    found = [bottom]
+    covers = []
+    # ``found`` grows while it is walked, so every set gets its turn
+    for low, below in enumerate(found):
+        joins = {
+            saturated_hereditary_closure(graph, below | p) for p in principals if not p <= below
+        }
+        minimal = []
+        for above in sorted(joins, key=len):
+            if above not in position:
+                position[above] = len(found)
+                found.append(above)
+            if not any(m < above for m in minimal):
+                minimal.append(above)
+                covers.append((low, position[above]))
+    rank = sorted(range(len(found)), key=lambda i: (len(found[i]), tuple(sorted(found[i]))))
+    index = [0] * len(found)
+    for i, old in enumerate(rank):
+        index[old] = i
+    return [found[i] for i in rank], sorted((index[a], index[b]) for a, b in covers)
+
+
 def enumerate_saturated_hereditary(graph: DirectedGraph) -> list[frozenset]:
     """All saturated hereditary vertex sets, sorted by size then members.
 
-    The family is generated rather than filtered out of the power set: it
-    is closed under intersection, and every member is the join of the
-    principal closures of its own vertices, so closing the principal
-    closures under pairwise join reaches everything.
+    See :func:`saturated_hereditary_lattice`, which also gives the covers.
     """
-    found = {saturated_hereditary_closure(graph, frozenset())}
-    for v in graph.vertices:
-        found.add(saturated_hereditary_closure(graph, frozenset({v})))
-    frontier = list(found)
-    while frontier:
-        fresh = []
-        for known in list(found):
-            for new in frontier:
-                joined = saturated_hereditary_closure(graph, known | new)
-                if joined not in found:
-                    found.add(joined)
-                    fresh.append(joined)
-        frontier = fresh
-    return sorted(found, key=lambda h: (len(h), tuple(sorted(h))))
+    return saturated_hereditary_lattice(graph)[0]
 
 
 def reachable_ranges(graph: DirectedGraph, subset: Iterable[str]) -> frozenset:
@@ -248,7 +287,7 @@ def cycle_from_edges(graph: DirectedGraph, edge_ids: Iterable[str]) -> Cycle:
         raise NotACycleError("a cycle has at least one edge")
     for e in ids:
         if e not in graph.edges:
-            raise NotACycleError(f"unknown edge {e!r}")
+            raise NotACycleError(f"unknown edge {excerpt(repr(e))}")
     for i in range(len(ids)):
         follower = ids[(i + 1) % len(ids)]
         if graph.src(ids[i]) != graph.rng(follower):

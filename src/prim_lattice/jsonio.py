@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING
 
-from .errors import MalformedHullError, NotAMaximalTailError
+from .errors import MalformedHullError, NotAMaximalTailError, excerpt
 from .graph import Cycle, DirectedGraph
 
 # circle, lattice and tails are imported by the codecs that use them, so
@@ -25,11 +25,6 @@ if TYPE_CHECKING:
 
 def canonical_dumps(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-
-
-def excerpt(text: str) -> str:
-    """``text`` cut to 120 characters, for echoing input in an error line."""
-    return text if len(text) <= 120 else text[:117] + "..."
 
 
 def _array(value, what: str) -> list:

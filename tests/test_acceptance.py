@@ -47,7 +47,7 @@ from prim_lattice import (
     saturated_hereditary_closure,
     zero_ideal,
 )
-from prim_lattice.fixtures import fixture_graphs, g_double, g_flow, g_loop
+from fixtures import fixture_graphs, g_double, g_flow, g_loop
 
 
 @pytest.fixture

@@ -218,6 +218,8 @@ class TestBoundedEcho:
 
     DEEP = "[" * 900 + "]" * 900
     FULL = '{"H":["v"]}'
+    LONG = "x" * 100_000
+    DIGITS = "1" * 5_000
 
     @pytest.mark.parametrize(
         "argv, expected",
@@ -227,8 +229,16 @@ class TestBoundedEcho:
             (("hull", "-g", G_LOOP, "-p", '{"H":%s,"U":[]}' % DEEP), 1),
             (("contains", "-g", G_LOOP, "-p", FULL, "-r", '{"tail":{"vertices":["v"]},"z":%s}' % DEEP), 1),
             (("contains", "-g", G_LOOP, "-p", FULL, "-r", '{"tail":{"vertices":["v"],"kind":%s},"z":0}' % DEEP), 1),
+            (("hull", "-g", G_LOOP, "-p", '{"H":["%s"],"U":[]}' % LONG), 1),
+            (("validate", "-g", '{"vertices":["v","%s"],"edges":[{"id":"a","src":"v","rng":"v"}]}' % LONG), 1),
+            (("validate", "-g", '{"vertices":["v"],"edges":[{"id":"%s","src":"v","rng":"w"}]}' % LONG), 1),
+            (("validate", "-g", '{"vertices":[%s],"edges":[]}' % DIGITS), 2),
+            (("hull", "-g", G_LOOP, "-p", '{"H":[%s],"U":[]}' % DIGITS), 2),
         ],
-        ids=["deep-argument", "long-path", "deep-H", "deep-angle", "deep-kind"],
+        ids=[
+            "deep-argument", "long-path", "deep-H", "deep-angle", "deep-kind",
+            "unknown-id", "source-vertex", "dangling-edge", "long-integer-graph", "long-integer-pair",
+        ],
     )
     def test_one_short_line(self, capsys, argv, expected):
         code, out, err = run(capsys, *argv)

@@ -26,9 +26,11 @@ from prim_lattice import (
     is_saturated_hereditary,
     reachable_ranges,
     saturated_hereditary_closure,
+    saturated_hereditary_lattice,
     validate,
 )
-from prim_lattice.fixtures import g_double, g_flow, g_loop
+from fixtures import antichain, cascade, g_double, g_flow, g_loop
+from prim_lattice import graph as graph_module
 from prim_lattice.oracle import brute_saturated_hereditary, random_graph
 
 
@@ -169,6 +171,99 @@ class TestEnumeration:
             family = enumerate_saturated_hereditary(g)
             assert frozenset() in family
             assert frozenset(g.vertices) in family
+
+
+def _sort_key(h):
+    return (len(h), tuple(sorted(h)))
+
+
+@pytest.fixture(scope="module")
+def law_graphs():
+    """Seeded random graphs of up to 16 vertices with their brute-force families.
+
+    Graphs with more than 4 096 sets are left out: enumerating 2^16 sets
+    alone takes seconds, and ``antichain(12)`` already covers 4 096.
+    """
+    rng = random.Random(29)
+    graphs = []
+    for _ in range(40):
+        g = random_graph(rng, max_vertices=16, max_edges=40)
+        brute = sorted(brute_saturated_hereditary(g), key=_sort_key)
+        if len(brute) <= 4096:
+            graphs.append((g, brute))
+    return graphs
+
+
+def _hasse(family):
+    """Index pairs (i, j) with family[i] < family[j] and no member between them."""
+    pairs = []
+    for i, low in enumerate(family):
+        above = [j for j, high in enumerate(family) if low < high]
+        pairs += [(i, j) for j in above if not any(family[m] < family[j] for m in above)]
+    return pairs
+
+
+class TestLatticeLaws:
+    """The enumeration against definitions that share no code with it."""
+
+    def test_sets_and_covers_match_the_brute_family(self, law_graphs):
+        for g, brute in law_graphs:
+            sets, covers = saturated_hereditary_lattice(g)
+            assert sets == brute
+            assert enumerate_saturated_hereditary(g) == brute
+            # the literal Hasse relation is cubic in L, so only smaller lattices get it
+            if len(brute) <= 512:
+                assert covers == _hasse(brute)
+
+    def test_closure_is_the_meet_of_its_closed_supersets(self, law_graphs):
+        rng = random.Random(31)
+        for g, brute in law_graphs:
+            for _ in range(8):
+                sample = frozenset(v for v in g.vertices if rng.random() < 0.3)
+                supersets = [h for h in brute if sample <= h]
+                assert saturated_hereditary_closure(g, sample) == frozenset.intersection(*supersets)
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_antichain_is_boolean(self, k):
+        sets, covers = saturated_hereditary_lattice(antichain(k))
+        assert len(sets) == 2**k
+        assert len(covers) == k * 2 ** (k - 1)
+        assert all(len(sets[j] - sets[i]) == 1 and sets[i] < sets[j] for i, j in covers)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_cascade_has_only_the_extremes(self, n):
+        g = cascade(n)
+        assert saturated_hereditary_lattice(g) == ([frozenset(), frozenset(g.vertices)], [(0, 1)])
+
+
+class TestEnumerationWork:
+    """A closure count that does not depend on the host's speed."""
+
+    @staticmethod
+    def _closures(monkeypatch, g):
+        calls = []
+        closure = graph_module.saturated_hereditary_closure
+
+        def counted(graph, subset):
+            calls.append(subset)
+            return closure(graph, subset)
+
+        monkeypatch.setattr(graph_module, "saturated_hereditary_closure", counted)
+        family = enumerate_saturated_hereditary(g)
+        monkeypatch.undo()
+        return len(calls), len(family)
+
+    @pytest.mark.parametrize("g", [antichain(10), cascade(60)], ids=["antichain-10", "cascade-60"])
+    def test_at_most_one_closure_per_set_and_vertex(self, monkeypatch, g):
+        closures, size = self._closures(monkeypatch, g)
+        assert closures <= 1 + len(g.vertices) + size * len(g.vertices)
+
+    def test_bound_on_random_graphs(self, monkeypatch):
+        rng = random.Random(37)
+        for _ in range(30):
+            g = random_graph(rng, max_vertices=16, max_edges=40)
+            closures, size = self._closures(monkeypatch, g)
+            assert closures <= 1 + len(g.vertices) + size * len(g.vertices)
 
 
 class TestSubgraphAndReach:

@@ -26,7 +26,7 @@ from prim_lattice import (
     random_proper_open_set,
 )
 from prim_lattice import jsonio
-from prim_lattice.fixtures import fixture_graphs, g_double, g_flow, g_loop
+from fixtures import fixture_graphs, g_double, g_flow, g_loop
 
 
 def _corpus(seed, count=10):

@@ -27,7 +27,7 @@ from prim_lattice import (
     validate,
     zero_ideal,
 )
-from prim_lattice.fixtures import fixture_graphs, g_double, g_flow, g_loop
+from fixtures import fixture_graphs, g_double, g_flow, g_loop
 
 
 class TestBruteForce:

@@ -79,8 +79,10 @@ def tracer():
             "lattice.closure_contains",
         ),
         (["from-hull", "-g", G_LOOP, "-H", HULL], {"jsonio.hull_from_json": 1}, "lattice.hull_to_pair"),
+        (["sat-hered", "-g", G_LOOP], {}, "graph.enumerate_saturated_hereditary"),
+        (["gauge-lattice", "-g", G_LOOP], {}, "graph.saturated_hereditary_closure"),
     ],
-    ids=["hull", "meet", "closure", "from-hull"],
+    ids=["hull", "meet", "closure", "from-hull", "sat-hered", "gauge-lattice"],
 )
 def test_tracer_sees_each_layer_of_a_command(tracer, capsys, argv, reads, operation):
     tracer.begin(0)

@@ -23,7 +23,7 @@ from prim_lattice import (
     finite_closed_set,
     zero_ideal,
 )
-from prim_lattice.fixtures import g_flow, g_loop
+from fixtures import g_flow, g_loop
 
 LOOP_TAIL = classify_tail(g_loop, {"v"})
 FLOW_TAIL = classify_tail(g_flow, {"u", "v"})

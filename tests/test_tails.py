@@ -22,7 +22,7 @@ from prim_lattice import (
     tail_of_cycle,
     validate,
 )
-from prim_lattice.fixtures import fixture_graphs, g_double, g_flow, g_loop
+from fixtures import fixture_graphs, g_double, g_flow, g_loop
 
 
 def _corpus(seed=11, count=40):

@@ -43,7 +43,7 @@ from prim_lattice import (
     reachable_ranges,
     zero_ideal,
 )
-from prim_lattice.fixtures import fixture_graphs, g_flow, g_loop
+from fixtures import fixture_graphs, g_flow, g_loop
 
 
 def _graphs(seed=2024, count=40):
