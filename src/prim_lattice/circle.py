@@ -11,11 +11,18 @@ Arcs are stored as ``(start, end)`` with ``start`` in ``[0, 1)`` and
 past the zero point and contains it; an arc of length exactly ``1`` is
 the circle minus its start point.  Canonical form keeps arcs disjoint,
 unmergeable and sorted by start, so structural equality is set equality.
+So at most one arc, the last, ends past ``1``, and it ends by the first
+start plus one: the arcs followed by the same arcs one turn up are still
+sorted and disjoint, on ``[0, 2)``.  Closed sets keep the same order
+over their arcs and points taken together.  Each set operation is one
+merge pass that relies on this order, and builds its result directly;
+only outside input goes through the checks in the constructors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import le, lt
 from typing import Iterable
 
 from .record import Record, set_field
@@ -40,88 +47,87 @@ def format_angle(angle: Fraction) -> str:
     return str(Fraction(angle))
 
 
-def _normalise_open(raw) -> tuple[tuple, bool]:
+def _checked(raw, kind: str, joins) -> list | None:
+    """Outside arcs as ``(start, start + length)``, or ``None`` if one covers
+    the circle.  ``joins`` is ``<`` for open arcs, which merge when they
+    overlap, and ``<=`` for closed ones, which merge when they touch."""
     segments = []
     for a, b in raw:
         try:
             a, b = Fraction(a), Fraction(b)
         except _NOT_FINITE as err:
             raise ValueError(
-                f"open arc ({a}, {b}) has an endpoint that is not a finite rational"
+                f"{kind} arc ({a}, {b}) has an endpoint that is not a finite rational"
             ) from err
         length = b - a
-        if length <= 0:
-            raise ValueError(f"open arc ({a}, {b}) has no interior")
-        if length > 1:
-            return (), True
+        if not joins(0, length):
+            fault = "has no interior" if kind == "open" else "runs backwards"
+            raise ValueError(f"{kind} arc ({a}, {b}) {fault}")
+        if joins(1, length):
+            return None
         start = a % 1
         segments.append((start, start + length))
-    if not segments:
-        return (), False
-    segments.sort()
-    merged = [segments[0]]
-    for lo, hi in segments[1:]:
-        last_lo, last_hi = merged[-1]
-        if lo < last_hi:
-            merged[-1] = (last_lo, max(last_hi, hi))
+    return segments
+
+
+def _coalesce(pieces, joins=lt) -> tuple[tuple, bool]:
+    """Canonical ``(pieces, is_full)`` from pieces sorted by a start in ``[0, 1)``."""
+    merged = []
+    for lo, hi in pieces:
+        if merged and joins(lo, merged[-1][1]):
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
         else:
             merged.append((lo, hi))
-    # the final arc may spill past 1 and swallow arcs at the seam
-    while len(merged) > 1 and merged[-1][1] > 1:
-        first_lo, first_hi = merged[0]
-        last_lo, last_hi = merged[-1]
-        if first_lo + 1 < last_hi:
-            merged[-1] = (last_lo, max(last_hi, first_hi + 1))
-            merged.pop(0)
-        else:
-            break
-    if len(merged) == 1 and merged[0][1] - merged[0][0] > 1:
+    # the final piece may spill past 1 and swallow pieces at the seam
+    while len(merged) > 1 and joins(merged[0][0] + 1, merged[-1][1]):
+        first = merged.pop(0)
+        merged[-1] = (merged[-1][0], max(merged[-1][1], first[1] + 1))
+    if len(merged) == 1 and joins(1, merged[0][1] - merged[0][0]):
         return (), True
     return tuple(merged), False
 
 
+def _normalise_open(raw) -> tuple[tuple, bool]:
+    pieces = _checked(raw, "open", lt)
+    return ((), True) if pieces is None else _coalesce(sorted(pieces))
+
+
 def _normalise_closed(raw_arcs, raw_points) -> tuple[tuple, tuple, bool]:
-    segments = []
-    for a, b in raw_arcs:
-        try:
-            a, b = Fraction(a), Fraction(b)
-        except _NOT_FINITE as err:
-            raise ValueError(
-                f"closed arc ({a}, {b}) has an endpoint that is not a finite rational"
-            ) from err
-        length = b - a
-        if length < 0:
-            raise ValueError(f"closed arc ({a}, {b}) runs backwards")
-        if length >= 1:
-            return (), (), True
-        start = a % 1
-        segments.append((start, start + length))
-    for p in raw_points:
-        p = as_angle(p)
-        segments.append((p, p))
-    if not segments:
-        return (), (), False
-    segments.sort()
-    merged = [segments[0]]
-    for lo, hi in segments[1:]:
-        last_lo, last_hi = merged[-1]
-        if lo <= last_hi:
-            merged[-1] = (last_lo, max(last_hi, hi))
-        else:
-            merged.append((lo, hi))
-    while len(merged) > 1 and merged[-1][1] >= 1:
-        first_lo, first_hi = merged[0]
-        last_lo, last_hi = merged[-1]
-        if first_lo + 1 <= last_hi:
-            merged[-1] = (last_lo, max(last_hi, first_hi + 1))
-            merged.pop(0)
-        else:
-            break
-    if len(merged) == 1 and merged[0][1] - merged[0][0] >= 1:
+    pieces = _checked(raw_arcs, "closed", le)
+    if pieces is None:
         return (), (), True
+    pieces += [(p, p) for p in map(as_angle, raw_points)]
+    merged, is_full = _coalesce(sorted(pieces), le)
     arcs = tuple(s for s in merged if s[0] != s[1])
     points = tuple(s[0] for s in merged if s[0] == s[1])
-    return arcs, points, False
+    return arcs, points, is_full
+
+
+def _turns(pieces):
+    """Canonical pieces lifted over ``[0, 2)``, still sorted and disjoint:
+    the last one turn down, all as stored, then all one turn up."""
+    for lo, hi in pieces[-1:]:
+        yield lo - 1, hi - 1
+    yield from pieces
+    for lo, hi in pieces:
+        yield lo + 1, hi + 1
+
+
+# a cover piece beyond every stored piece, standing in once a cover runs out
+_PAST = (3, 3)
+
+
+def _within(pieces, cover) -> bool:
+    """Whether each of the sorted, disjoint pieces lies in one cover piece."""
+    cover = iter(cover)
+    c = d = -1
+    for a, b in pieces:
+        # the first cover piece to reach b is the only one that can hold (a, b)
+        while d < b:
+            c, d = next(cover, _PAST)
+        if a < c:
+            return False
+    return True
 
 
 class OpenCircleSet(Record):
@@ -141,6 +147,14 @@ class OpenCircleSet(Record):
             arcs, is_full = _normalise_open(arcs)
         set_field(self, "arcs", arcs)
         set_field(self, "is_full", is_full)
+
+    @classmethod
+    def _trusted(cls, arcs: tuple, is_full: bool = False) -> "OpenCircleSet":
+        """A set from arcs that are canonical already: no checks."""
+        new = cls.__new__(cls)
+        set_field(new, "arcs", arcs)
+        set_field(new, "is_full", is_full)
+        return new
 
     @classmethod
     def empty(cls) -> "OpenCircleSet":
@@ -169,25 +183,36 @@ class OpenCircleSet(Record):
     def union(self, other: "OpenCircleSet") -> "OpenCircleSet":
         if self.is_full or other.is_full:
             return OpenCircleSet.full()
-        return OpenCircleSet(self.arcs + other.arcs)
+        # timsort takes the two sorted arc lists as runs
+        return OpenCircleSet._trusted(*_coalesce(sorted(self.arcs + other.arcs)))
 
     def intersect(self, other: "OpenCircleSet") -> "OpenCircleSet":
         if self.is_full:
             return other
         if other.is_full:
             return self
-        pieces = []
-        for a1, b1 in self.arcs:
-            for a2, b2 in other.arcs:
-                for shift in (-1, 0, 1):
-                    lo = max(a1, a2 + shift)
-                    hi = min(b1, b2 + shift)
-                    if lo < hi:
+        # the stored arcs against the other set's lifts; a piece past the
+        # seam comes from the last arc and leads once taken a turn down
+        wrapped, pieces = [], []
+        cover = _turns(other.arcs)
+        c, d = next(cover, _PAST)
+        for a, b in self.arcs:
+            while True:
+                lo, hi = max(a, c), min(b, d)
+                if lo < hi:
+                    if lo < 1:
                         pieces.append((lo, hi))
-        return OpenCircleSet(tuple(pieces))
+                    else:
+                        wrapped.append((lo - 1, hi - 1))
+                if b <= d:
+                    break
+                c, d = next(cover, _PAST)
+        return OpenCircleSet._trusted(tuple(wrapped + pieces))
 
     def is_subset(self, other: "OpenCircleSet") -> bool:
-        return self.intersect(other) == self
+        if self.is_full or other.is_full:
+            return other.is_full
+        return _within(self.arcs, _turns(other.arcs))
 
     def complement(self) -> "ClosedCircleSet":
         if self.is_full:
@@ -255,7 +280,7 @@ class ClosedCircleSet(Record):
     def complement(self) -> OpenCircleSet:
         if self.is_full:
             return OpenCircleSet.empty()
-        pieces = sorted(self.arcs + tuple((p, p) for p in self.points))
+        pieces = self._pieces()
         if not pieces:
             return OpenCircleSet.full()
         arcs = []
@@ -285,12 +310,13 @@ class ClosedCircleSet(Record):
         return self.complement().union(other.complement()).complement()
 
     def is_subset(self, other: "ClosedCircleSet") -> bool:
-        return self.intersect(other) == self
+        if self.is_full or other.is_full:
+            return other.is_full
+        return _within(self._pieces(), _turns(other._pieces()))
 
-    def endpoints(self) -> frozenset:
-        ends = {e % 1 for arc in self.arcs for e in arc}
-        ends.update(self.points)
-        return frozenset(ends)
+    def _pieces(self) -> list:
+        """Arcs and points (as zero-length arcs) together, sorted by start."""
+        return sorted(self.arcs + tuple((p, p) for p in self.points))
 
 
 def finite_closed_set(angles: Iterable) -> ClosedCircleSet:

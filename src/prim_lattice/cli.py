@@ -31,15 +31,16 @@ class UsageError(Exception):
 
 
 def _load_json(argument: str):
-    if argument == "@-":
-        text = sys.stdin.read()
-    elif argument.startswith(("{", "[", '"')):
+    if argument.startswith(("{", "[", '"')):
         text = argument
     else:
         try:
-            with open(argument, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as err:
+            if argument == "@-":
+                text = sys.stdin.read()
+            else:
+                with open(argument, "r", encoding="utf-8") as handle:
+                    text = handle.read()
+        except (OSError, UnicodeDecodeError) as err:
             raise UsageError(
                 f"cannot read {excerpt(repr(argument))}: {excerpt(str(err))}"
             ) from err

@@ -18,6 +18,7 @@ from .errors import InternalInvariantViolation, MalformedHullError, NotAMaximalT
 from .graph import (
     Cycle,
     DirectedGraph,
+    _saturation_fixpoint,
     _vertex_subset,
     cycle_base,
     entrance_free_cycles,
@@ -249,7 +250,8 @@ def pair_join(graph: DirectedGraph, pairs: Sequence[IdealPair]) -> IdealPair:
     if not pairs:
         raise ValueError("join of an empty family is not defined")
     pooled = frozenset().union(*(pair.vertices for pair in pairs))
-    base = saturated_hereditary_closure(graph, pooled)
+    # a union of saturated hereditary sets is hereditary: only saturate it
+    base = _saturation_fixpoint(graph, pooled)
 
     def pooled_set(cycle: Cycle) -> OpenCircleSet:
         value = OpenCircleSet.empty()

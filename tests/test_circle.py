@@ -217,3 +217,184 @@ class TestSampledLaws:
             for theta in _grid(a, inner):
                 if inner.contains(theta):
                     assert not a.contains(theta)
+
+
+def _angle(rng, denominators):
+    q = rng.choice(denominators)
+    return F(rng.randrange(q), q)
+
+
+def _query_set(rng, denominators):
+    """An open set shaped like a benchmark query argument.
+
+    Mostly 1 to 12 arcs, some wrapping past the seam and some touching
+    their neighbours, and now and then a punctured, full or empty circle.
+    """
+    shape = rng.randrange(10)
+    if shape == 0:
+        return OpenCircleSet.full()
+    if shape == 1:
+        return OpenCircleSet.empty()
+    if shape == 2:
+        return punctured_circle(_angle(rng, denominators))
+    count = rng.randint(1, 12)
+    cuts = set()
+    while len(cuts) < 2 * count:
+        cuts.add(_angle(rng, denominators))
+    ends = sorted(cuts)
+    if rng.randrange(2):
+        # rotating the cuts by one lets the last arc wrap past the seam
+        ends = ends[1:] + [ends[0] + 1]
+    arcs = [(ends[i], ends[i + 1]) for i in range(0, len(ends), 2)]
+    if rng.randrange(2):
+        # fill some gaps with arcs that touch the arcs on both sides
+        arcs += [(ends[i], ends[i + 1]) for i in range(1, len(ends) - 1, 4)]
+    return OpenCircleSet.from_arcs(arcs)
+
+
+def _pairwise_intersect(a, b):
+    """The literal formula: each arc against each other arc shifted by -1, 0 and 1 turn."""
+    if a.is_full or b.is_full:
+        return b if a.is_full else a
+    pieces = [
+        (max(a1, a2 + shift), min(b1, b2 + shift))
+        for a1, b1 in a.arcs
+        for a2, b2 in b.arcs
+        for shift in (-1, 0, 1)
+    ]
+    return OpenCircleSet(tuple((lo, hi) for lo, hi in pieces if lo < hi))
+
+
+def _pairwise_union(a, b):
+    if a.is_full or b.is_full:
+        return OpenCircleSet.full()
+    return OpenCircleSet(a.arcs + b.arcs)
+
+
+def _assert_canonical(r):
+    if isinstance(r, OpenCircleSet):
+        assert OpenCircleSet(r.arcs, r.is_full) == r
+    else:
+        assert ClosedCircleSet(r.arcs, r.points, r.is_full) == r
+    assert all(type(e) is F for arc in r.arcs for e in arc)
+
+
+# every denominator up to 720, as the benchmark draws them, and the
+# divisors of 60, which keep the sampling grid of two sets small
+QUERY_DENOMINATORS = range(1, 721)
+GRID_DENOMINATORS = [d for d in range(1, 61) if 60 % d == 0]
+
+
+class TestMergeKernels:
+    """The merge passes against the literal pairwise formula and a grid."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_against_the_pairwise_formula(self, seed):
+        rng = random.Random(f"kernels:{seed}")
+        for _ in range(150):
+            a, b = _query_set(rng, QUERY_DENOMINATORS), _query_set(rng, QUERY_DENOMINATORS)
+            meet, join = a.intersect(b), a.union(b)
+            _assert_canonical(meet)
+            _assert_canonical(join)
+            assert meet == _pairwise_intersect(a, b)
+            assert join == _pairwise_union(a, b)
+            assert a.is_subset(b) == (_pairwise_intersect(a, b) == a)
+            assert meet.is_subset(a) and meet.is_subset(b)
+            assert a.is_subset(join) and b.is_subset(join)
+            # closed sets: A <= B exactly when the complement of B lies in that of A
+            ca, cb = a.complement(), b.complement()
+            assert ca.is_subset(cb) == (_pairwise_intersect(cb.complement(), ca.complement()) == cb.complement())
+            assert ca.is_subset(cb) == b.is_subset(a)
+
+    def test_against_grid_sampling(self):
+        rng = random.Random("kernels:grid")
+        for _ in range(60):
+            a, b = _query_set(rng, GRID_DENOMINATORS), _query_set(rng, GRID_DENOMINATORS)
+            meet, join = a.intersect(b), a.union(b)
+            ca, cb = a.complement(), b.complement()
+            inside_a = inside_b = True
+            closed_a = closed_b = True
+            for theta in _grid(a, b):
+                in_a, in_b = a.contains(theta), b.contains(theta)
+                assert meet.contains(theta) == (in_a and in_b)
+                assert join.contains(theta) == (in_a or in_b)
+                inside_a &= in_b or not in_a
+                inside_b &= in_a or not in_b
+                closed_a &= cb.contains(theta) or not ca.contains(theta)
+                closed_b &= ca.contains(theta) or not cb.contains(theta)
+            assert a.is_subset(b) == inside_a and b.is_subset(a) == inside_b
+            assert ca.is_subset(cb) == closed_a and cb.is_subset(ca) == closed_b
+
+    @pytest.mark.parametrize(
+        "a, b, meet",
+        [
+            # the stored wrap arc past 1 meets arcs near 0 only one turn up
+            ([("3/4", "5/4")], [("0", "1/8")], [("0", "1/8")]),
+            # an arc near 0 meets the wrap arc only one turn down
+            ([("0", "1/8")], [("3/4", "5/4")], [("0", "1/8")]),
+            # touching open arcs stay split; the seam piece leads once wrapped
+            ([("1/2", "3/2")], [("1/4", "5/4")], [("1/4", "1/2"), ("1/2", "5/4")]),
+            ([("0", "1/2"), ("1/2", "1")], [("1/4", "3/4")], [("1/4", "1/2"), ("1/2", "3/4")]),
+        ],
+    )
+    def test_seam_cases(self, a, b, meet):
+        a, b = OpenCircleSet.from_arcs(a), OpenCircleSet.from_arcs(b)
+        expected = OpenCircleSet.from_arcs(meet)
+        assert a.intersect(b) == expected and b.intersect(a) == expected
+        assert expected.is_subset(a) and expected.is_subset(b)
+        assert a.is_subset(b) == (expected == a)
+
+    def test_closed_subset_across_the_seam(self):
+        wrap = ClosedCircleSet(((F(3, 4), F(5, 4)),), ())
+        assert finite_closed_set([0, F(1, 8)]).is_subset(wrap)
+        assert ClosedCircleSet(((F(0), F(1, 4)),), (F(7, 8),)).is_subset(wrap)
+        assert not ClosedCircleSet(((F(0), F(1, 2)),), ()).is_subset(wrap)
+        assert not finite_closed_set([F(1, 2)]).is_subset(wrap)
+        assert ClosedCircleSet.empty().is_subset(finite_closed_set([0]))
+        assert not ClosedCircleSet.full().is_subset(wrap)
+
+
+class TestKernelWork:
+    """Exact comparison counts, which do not depend on the host's speed."""
+
+    COMPARISONS = ("__lt__", "__le__", "__gt__", "__ge__", "__eq__")
+
+    @staticmethod
+    def _sets(k):
+        # k arcs each, the last wrapping past the seam, staggered so that
+        # every arc of one set meets two arcs of the other
+        step = F(1, 2 * k)
+        a = OpenCircleSet.from_arcs((i * 2 * step + step / 2, i * 2 * step + step * 3 / 2) for i in range(k))
+        b = OpenCircleSet.from_arcs((i * 2 * step + step, i * 2 * step + step * 2) for i in range(k))
+        return a, b
+
+    def _count(self, monkeypatch, prepare, operation, k):
+        args = prepare(*self._sets(k))
+        calls = [0]
+        for name in self.COMPARISONS:
+            original = getattr(F, name)
+
+            def counted(x, y, original=original):
+                calls[0] += 1
+                return original(x, y)
+
+            monkeypatch.setattr(F, name, counted)
+        operation(*args)
+        monkeypatch.undo()
+        return calls[0]
+
+    @pytest.mark.parametrize(
+        "prepare, operation",
+        [
+            (lambda a, b: (a, b), OpenCircleSet.intersect),
+            (lambda a, b: (a, b), OpenCircleSet.union),
+            (lambda a, b: (a, b), OpenCircleSet.is_subset),
+            (lambda a, b: (a.intersect(b), b), OpenCircleSet.is_subset),
+            (lambda a, b: (a.closure(), a.union(b).closure()), ClosedCircleSet.is_subset),
+        ],
+        ids=["intersect", "union", "is_subset", "is_subset-true", "closed-is_subset"],
+    )
+    def test_comparisons_grow_linearly_in_the_arc_count(self, monkeypatch, prepare, operation):
+        small = self._count(monkeypatch, prepare, operation, 12)
+        large = self._count(monkeypatch, prepare, operation, 48)
+        assert 0 < small and large <= 5 * small

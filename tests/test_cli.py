@@ -12,6 +12,7 @@ import sys
 import pytest
 
 from prim_lattice.cli import main
+from prim_lattice.errors import excerpt
 from prim_lattice.oracle import OracleReport
 
 G_LOOP = '{"vertices":["v"],"edges":[{"id":"a","src":"v","rng":"v"}]}'
@@ -245,6 +246,23 @@ class TestBoundedEcho:
         assert code == expected and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert len(err.encode()) < 300
+
+    BAD_BYTES = b'{"vertices":["v"],"edges":[{"id":"a","src":"v","rng":"v"}],"note":"\xff"}'
+
+    def test_undecodable_file_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / ("x" * 200 + ".json")
+        path.write_bytes(self.BAD_BYTES)
+        code, out, err = run(capsys, "validate", "-g", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read {excerpt(repr(str(path)))}: ")
+        assert "can't decode byte 0xff" in err and err.count("\n") == 1
+        assert len(err.encode()) < 300
+
+    def test_undecodable_stdin_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(self.BAD_BYTES), encoding="utf-8"))
+        code, out, err = run(capsys, "validate", "-g", "@-")
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot read '@-': ") and err.count("\n") == 1
 
 
 class TestExitCodes:

@@ -45,6 +45,8 @@ from prim_lattice import (
     saturated_hereditary_closure,
     zero_ideal,
 )
+from prim_lattice import lattice as lattice_module
+from prim_lattice.graph import _saturation_fixpoint
 from fixtures import fixture_graphs, g_double, g_flow, g_loop
 
 A = Cycle(("a",))
@@ -234,6 +236,19 @@ class TestMeetJoin:
         v = ideal_pair(g_flow, set(), {A: arcs((0, "3/5"))})
         w = ideal_pair(g_flow, set(), {A: arcs(("1/2", "11/10"))})
         assert pair_join(g_flow, [v, w]) == gauge_ideal(g_flow, {"u"})
+
+    def test_join_saturates_the_pooled_union_like_the_full_closure(self, monkeypatch):
+        rng = random.Random(79)
+        cases = []
+        for _ in range(40):
+            g = random_graph(rng, max_vertices=10, max_edges=20)
+            cases.append((g, [random_ideal_pair(rng, g) for _ in range(rng.randint(1, 3))]))
+        for g, family in cases:
+            pooled = frozenset().union(*(p.vertices for p in family))
+            assert _saturation_fixpoint(g, pooled) == saturated_hereditary_closure(g, pooled)
+        joins = [pair_join(g, family) for g, family in cases]
+        monkeypatch.setattr(lattice_module, "_saturation_fixpoint", saturated_hereditary_closure)
+        assert [pair_join(g, family) for g, family in cases] == joins
 
     def test_bounds_and_extremality(self):
         rng, graphs = _corpus(seed=71)
