@@ -54,10 +54,11 @@ class TooLargeError(GraphAlgebraError):
     """The instance exceeds the size guard of a brute-force routine."""
 
 
-class InternalInvariantViolation(GraphAlgebraError):
+class InternalInvariantViolation(Exception):
     """A condition the underlying theory rules out was observed at runtime.
 
     These are deliberate tripwires: if one fires, either the input was
     malformed in a way the validators missed, or an implementation bug
-    broke a derivation this package relies on.
+    broke a derivation this package relies on.  Either way it is a bug
+    here, not a domain error, so it is no :class:`GraphAlgebraError`.
     """

@@ -70,8 +70,10 @@ class DirectedGraph:
                 outs[src].append(eid)
         self._in = {v: tuple(es) for v, es in ins.items()}
         self._out = {v: tuple(es) for v, es in outs.items()}
-        # in-degrees seed every saturation closure, which copies them
+        # in-degrees seed every saturation closure, which copies them;
+        # the vertices with none are saturated vacuously
         self._in_degree = {v: len(es) for v, es in ins.items()}
+        self._unfed = [v for v, count in self._in_degree.items() if not count]
 
     def src(self, edge: str) -> str:
         return self.edges[edge][0]
@@ -165,8 +167,7 @@ def _saturation_fixpoint(graph: DirectedGraph, start: frozenset) -> frozenset:
     """
     edges = graph.edges
     waiting = graph._in_degree.copy()
-    # a vertex with no feeders at all is saturated vacuously
-    todo = list(start) + [v for v, count in waiting.items() if not count and v not in start]
+    todo = list(start) + [v for v in graph._unfed if v not in start]
     closure = set(todo)
     while todo:
         for e in graph._out[todo.pop()]:
@@ -200,21 +201,24 @@ def saturated_hereditary_lattice(
     and the covers are sorted.  The family grows from cl(∅) by joining
     each set found with each distinct principal closure cl(v) it does not
     contain.  Every member is the join of the principal closures of its
-    own vertices, so this reaches all L of them with at most L·P closures
-    for P distinct principal closures.  The upper covers of a set are
-    exactly the minimal sets among its joins: a cover T of S contains
-    some v outside S, and S ∨ cl(v) lies between them.
+    own vertices, so this reaches all L of them.  Every closure starts
+    from a hereditary set: the ancestors of each vertex (V hereditary
+    closures, D distinct sets among them) are saturated once each, and a
+    join ``S ∪ cl(v)`` of two hereditary sets is only saturated, so the
+    whole run makes at most 1 + D + L·P saturations for P ≤ D distinct
+    principal closures.  The upper covers of a set are exactly the
+    minimal sets among its joins: a cover T of S contains some v outside
+    S, and S ∨ cl(v) lies between them.
     """
-    principals = {saturated_hereditary_closure(graph, frozenset({v})) for v in graph.vertices}
-    bottom = saturated_hereditary_closure(graph, frozenset())
+    ancestors = {hereditary_closure(graph, (v,)) for v in graph.vertices}
+    principals = {_saturation_fixpoint(graph, a) for a in ancestors}
+    bottom = _saturation_fixpoint(graph, frozenset())
     position = {bottom: 0}
     found = [bottom]
     covers = []
     # ``found`` grows while it is walked, so every set gets its turn
     for low, below in enumerate(found):
-        joins = {
-            saturated_hereditary_closure(graph, below | p) for p in principals if not p <= below
-        }
+        joins = {_saturation_fixpoint(graph, below | p) for p in principals if not p <= below}
         minimal = []
         for above in sorted(joins, key=len):
             if above not in position:

@@ -244,8 +244,8 @@ def pair_join(graph: DirectedGraph, pairs: Sequence[IdealPair]) -> IdealPair:
 
     The vertex parts union up and close; any cycle of the intermediate
     complement whose member sets jointly cover the whole circle promotes
-    its vertices into the set, and the closure is taken again.  On the
-    surviving cycles the sets union up and stay proper.
+    its vertices into the set, and if any did the closure is taken
+    again.  On the surviving cycles the sets union up and stay proper.
     """
     if not pairs:
         raise ValueError("join of an empty family is not defined")
@@ -261,9 +261,15 @@ def pair_join(graph: DirectedGraph, pairs: Sequence[IdealPair]) -> IdealPair:
         return value
 
     promoted = set()
+    cycle_sets = []
     for cycle in entrance_free_cycles(graph, frozenset(graph.vertices) - base):
-        if pooled_set(cycle).is_full:
+        value = pooled_set(cycle)
+        if value.is_full:
             promoted.add(cycle_base(graph, cycle))
+        cycle_sets.append((cycle, value))
+    if not promoted:
+        # nothing moved: the closure of ``base`` is ``base`` with the same cycles
+        return IdealPair(base, tuple(cycle_sets))
     joined = saturated_hereditary_closure(graph, base | promoted)
     cycle_sets = []
     for cycle in entrance_free_cycles(graph, frozenset(graph.vertices) - joined):

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from .circle import OpenCircleSet, punctured_circle
-from .errors import GraphAlgebraError, TooLargeError
+from .errors import GraphAlgebraError, InternalInvariantViolation, TooLargeError
 from .graph import (
     DirectedGraph,
     enumerate_saturated_hereditary,
@@ -152,7 +152,7 @@ def check_lattice_laws(graph: DirectedGraph, sample: list[IdealPair]) -> OracleR
         try:
             met = pair_meet(graph, list(family))
             joined = pair_join(graph, list(family))
-        except GraphAlgebraError as err:
+        except (GraphAlgebraError, InternalInvariantViolation) as err:
             report.record(f"tripwire on {label}: {err}")
             continue
         for pair in family:

@@ -12,7 +12,7 @@ import sys
 import pytest
 
 from prim_lattice.cli import main
-from prim_lattice.errors import excerpt
+from prim_lattice.errors import InternalInvariantViolation, excerpt
 from prim_lattice.oracle import OracleReport
 
 G_LOOP = '{"vertices":["v"],"edges":[{"id":"a","src":"v","rng":"v"}]}'
@@ -518,8 +518,13 @@ class TestInternalErrors:
         [
             ("pair_meet", ("meet", "-g", G_LOOP, "-P", "[]"), TypeError),
             ("hull", ("hull", "-g", G_LOOP, "-p", '{"H":[],"U":[{"cycle":["a"],"set":"empty"}]}'), KeyError),
+            (
+                "hull",
+                ("hull", "-g", G_LOOP, "-p", '{"H":[],"U":[{"cycle":["a"],"set":"empty"}]}'),
+                InternalInvariantViolation,
+            ),
         ],
-        ids=["TypeError", "KeyError"],
+        ids=["TypeError", "KeyError", "InternalInvariantViolation"],
     )
     def test_bug_exits_four(self, capsys, monkeypatch, function, argv, error):
         # the CLI looks each operation up on its module when the command runs

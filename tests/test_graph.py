@@ -108,6 +108,12 @@ class TestClosures:
         assert saturated_hereditary_closure(g_flow, {"u"}) == {"u"}
         assert saturated_hereditary_closure(g_loop, set()) == set()
 
+    def test_unfed_vertices_join_on_an_unvalidated_graph(self):
+        # "s" has no feeders, so it is saturated vacuously and then feeds "v"
+        g = DirectedGraph(["s", "v"], {"a": ("s", "v")})
+        assert saturated_hereditary_closure(g, ()) == {"s", "v"}
+        assert saturated_hereditary_closure(g, {"v"}) == {"s", "v"}
+
     def test_is_saturated_hereditary(self):
         g = g_flow
         assert is_saturated_hereditary(g, set())
@@ -223,6 +229,24 @@ class TestLatticeLaws:
                 supersets = [h for h in brute if sample <= h]
                 assert saturated_hereditary_closure(g, sample) == frozenset.intersection(*supersets)
 
+    def test_principals_are_the_closures_of_single_vertices(self, monkeypatch, law_graphs):
+        # every set the lattice saturates, keyed by the set it started from
+        saturated = {}
+        fixpoint = graph_module._saturation_fixpoint
+
+        def recorded(graph, start):
+            saturated[start] = fixpoint(graph, start)
+            return saturated[start]
+
+        monkeypatch.setattr(graph_module, "_saturation_fixpoint", recorded)
+        for g, brute in law_graphs:
+            saturated.clear()
+            saturated_hereditary_lattice(g)
+            for v in g.vertices:
+                principal = saturated[hereditary_closure(g, (v,))]
+                assert principal == saturated_hereditary_closure(g, {v})
+                assert principal == frozenset.intersection(*(h for h in brute if v in h))
+
     @pytest.mark.parametrize("k", range(1, 13))
     def test_antichain_is_boolean(self, k):
         sets, covers = saturated_hereditary_lattice(antichain(k))
@@ -241,17 +265,21 @@ class TestEnumerationWork:
 
     @staticmethod
     def _closures(monkeypatch, g):
-        calls = []
-        closure = graph_module.saturated_hereditary_closure
+        calls = {"_saturation_fixpoint": 0, "hereditary_closure": 0}
+        for name in calls:
 
-        def counted(graph, subset):
-            calls.append(subset)
-            return closure(graph, subset)
+            def counted(graph, subset, name=name, closure=getattr(graph_module, name)):
+                calls[name] += 1
+                return closure(graph, subset)
 
-        monkeypatch.setattr(graph_module, "saturated_hereditary_closure", counted)
+            monkeypatch.setattr(graph_module, name, counted)
         family = enumerate_saturated_hereditary(g)
         monkeypatch.undo()
-        return len(calls), len(family)
+        saturations, hereditary = calls["_saturation_fixpoint"], calls["hereditary_closure"]
+        # every member is the result of one saturation, so none can go uncounted
+        assert len(family) <= saturations
+        assert hereditary <= len(g.vertices)
+        return saturations, len(family)
 
     @pytest.mark.parametrize("g", [antichain(10), cascade(60)], ids=["antichain-10", "cascade-60"])
     def test_at_most_one_closure_per_set_and_vertex(self, monkeypatch, g):

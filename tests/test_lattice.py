@@ -15,6 +15,7 @@ from prim_lattice import (
     DirectedGraph,
     Hull,
     HullEntry,
+    IdealPair,
     MalformedHullError,
     MaximalTail,
     OpenCircleSet,
@@ -23,6 +24,8 @@ from prim_lattice import (
     classify_tail,
     closure_contains,
     contained_in_prim,
+    cycle_base,
+    entrance_free_cycles,
     enumerate_maximal_tails,
     enumerate_primitive_strata,
     enumerate_saturated_hereditary,
@@ -249,6 +252,52 @@ class TestMeetJoin:
         joins = [pair_join(g, family) for g, family in cases]
         monkeypatch.setattr(lattice_module, "_saturation_fixpoint", saturated_hereditary_closure)
         assert [pair_join(g, family) for g, family in cases] == joins
+
+    @staticmethod
+    def _two_pass_join(g, pairs):
+        """The join formula taken literally: close, promote, close again.
+
+        Returns the join and whether any cycle was promoted.
+        """
+        base = saturated_hereditary_closure(g, frozenset().union(*(p.vertices for p in pairs)))
+
+        def pooled_set(cycle):
+            value = OpenCircleSet.empty()
+            for p in pairs:
+                if p.constrains(cycle):
+                    value = value.union(p.open_set(cycle))
+            return value
+
+        promoted = {
+            cycle_base(g, c)
+            for c in entrance_free_cycles(g, frozenset(g.vertices) - base)
+            if pooled_set(c).is_full
+        }
+        joined = saturated_hereditary_closure(g, base | promoted)
+        cycles = entrance_free_cycles(g, frozenset(g.vertices) - joined)
+        return IdealPair(joined, tuple((c, pooled_set(c)) for c in cycles)), bool(promoted)
+
+    def test_join_without_promotion_lists_cycles_once(self, monkeypatch):
+        rng = random.Random(83)
+        listed = []
+        listing = lattice_module.entrance_free_cycles
+
+        def counted(graph, subset):
+            listed.append(subset)
+            return listing(graph, subset)
+
+        monkeypatch.setattr(lattice_module, "entrance_free_cycles", counted)
+        outcomes = set()
+        for _ in range(200):
+            g = random_graph(rng, max_vertices=8, max_edges=16)
+            family = [random_ideal_pair(rng, g) for _ in range(rng.randint(1, 3))]
+            expected, promoted = self._two_pass_join(g, family)
+            listed.clear()
+            assert pair_join(g, family) == expected
+            assert len(listed) == (2 if promoted else 1)
+            outcomes.add(promoted)
+        # the seeded families exercise both branches
+        assert outcomes == {False, True}
 
     def test_bounds_and_extremality(self):
         rng, graphs = _corpus(seed=71)

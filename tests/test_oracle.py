@@ -9,6 +9,7 @@ import pytest
 
 from prim_lattice import (
     DirectedGraph,
+    InternalInvariantViolation,
     OracleReport,
     PrimitiveIdeal,
     TooLargeError,
@@ -28,6 +29,7 @@ from prim_lattice import (
     zero_ideal,
 )
 from fixtures import fixture_graphs, g_double, g_flow, g_loop
+from prim_lattice import oracle as oracle_module
 
 
 class TestBruteForce:
@@ -93,6 +95,16 @@ class TestLawChecker:
         sample = [random_ideal_pair(rng, g_flow) for _ in range(3)]
         sample += [zero_ideal(g_flow), improper_ideal(g_flow)]
         assert check_lattice_laws(g_flow, sample).passed
+
+    def test_tripwire_is_recorded_not_raised(self, monkeypatch):
+        # a tripwire is no domain error, so the checker names it on its own
+        def broken(graph, pairs):
+            raise InternalInvariantViolation("planted invariant break")
+
+        monkeypatch.setattr(oracle_module, "pair_join", broken)
+        report = check_lattice_laws(g_flow, [zero_ideal(g_flow), improper_ideal(g_flow)])
+        assert not report.passed and report.checked == 0
+        assert all("tripwire" in m and "planted invariant break" in m for m in report.mismatches)
 
 
 class TestClosureChecker:

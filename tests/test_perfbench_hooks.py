@@ -80,7 +80,7 @@ def tracer():
         ),
         (["from-hull", "-g", G_LOOP, "-H", HULL], {"jsonio.hull_from_json": 1}, "lattice.hull_to_pair"),
         (["sat-hered", "-g", G_LOOP], {}, "graph.enumerate_saturated_hereditary"),
-        (["gauge-lattice", "-g", G_LOOP], {}, "graph.saturated_hereditary_closure"),
+        (["gauge-lattice", "-g", G_LOOP], {}, "graph.hereditary_closure"),
     ],
     ids=["hull", "meet", "closure", "from-hull", "sat-hered", "gauge-lattice"],
 )
