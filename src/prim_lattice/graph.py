@@ -70,10 +70,8 @@ class DirectedGraph:
                 outs[src].append(eid)
         self._in = {v: tuple(es) for v, es in ins.items()}
         self._out = {v: tuple(es) for v, es in outs.items()}
-        # in-degrees seed every saturation closure, which copies them;
-        # the vertices with none are saturated vacuously
+        # in-degrees seed every saturation closure, which copies them
         self._in_degree = {v: len(es) for v, es in ins.items()}
-        self._unfed = [v for v, count in self._in_degree.items() if not count]
 
     def src(self, edge: str) -> str:
         return self.edges[edge][0]
@@ -167,7 +165,8 @@ def _saturation_fixpoint(graph: DirectedGraph, start: frozenset) -> frozenset:
     """
     edges = graph.edges
     waiting = graph._in_degree.copy()
-    todo = list(start) + [v for v in graph._unfed if v not in start]
+    # a vertex with no feeders at all is saturated vacuously
+    todo = list(start) + [v for v, count in waiting.items() if not count and v not in start]
     closure = set(todo)
     while todo:
         for e in graph._out[todo.pop()]:
