@@ -43,7 +43,8 @@ class DirectedGraph:
 
     ``edges`` may be a mapping ``id -> (source, range)`` or an iterable of
     ``(id, source, range)`` triples.  Instances are immutable by
-    convention; all derived data is precomputed here.  Construction only
+    convention; all derived data is precomputed here, except the cycle
+    index of :mod:`.tails`, which is built on first use.  Construction only
     rejects duplicate edge ids, everything else (dangling endpoints,
     vertices with no feeders, emptiness) is reported by :func:`validate`
     so that intermediate graphs can still be built and inspected.
@@ -72,6 +73,7 @@ class DirectedGraph:
         self._out = {v: tuple(es) for v, es in outs.items()}
         # in-degrees seed every saturation closure, which copies them
         self._in_degree = {v: len(es) for v, es in ins.items()}
+        self._cycle_index = None
 
     def src(self, edge: str) -> str:
         return self.edges[edge][0]

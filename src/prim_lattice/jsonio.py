@@ -142,18 +142,24 @@ def tail_from_json(graph: DirectedGraph, data) -> MaximalTail:
     if not isinstance(data, dict) or "vertices" not in data:
         raise ValueError("a maximal tail must be an object with a 'vertices' field")
     tail = classify_tail(graph, _ids(data["vertices"], "a tail's 'vertices'"))
+    shown = excerpt(str(data["vertices"]))
     declared_kind = data.get("kind")
     if declared_kind is not None and declared_kind != tail.kind:
         kind = excerpt(str(declared_kind))
-        raise ValueError(f"tail {data['vertices']} is {tail.kind}, not {kind}")
+        raise ValueError(f"tail {shown} is {tail.kind}, not {kind}")
     declared_cycle = data.get("cycle")
     if declared_cycle is not None and Cycle(
         tuple(_ids(declared_cycle, "a tail's 'cycle'"))
     ) != tail.cycle:
-        raise ValueError(f"tail {data['vertices']} has cycle {tail.cycle}")
+        raise ValueError(f"tail {shown} has cycle {tail.cycle}")
     declared_period = data.get("period")
-    if declared_period is not None and declared_period != tail.period:
-        raise ValueError(f"tail {data['vertices']} has period {tail.period}")
+    if declared_period is None:
+        return tail
+    if isinstance(declared_period, bool) or not isinstance(declared_period, int):
+        period = excerpt(repr(declared_period))
+        raise ValueError(f"a tail's 'period' {period} must be a JSON integer")
+    if declared_period != tail.period:
+        raise ValueError(f"tail {shown} has period {tail.period}")
     return tail
 
 
@@ -215,7 +221,14 @@ def hull_to_json(shape: Hull) -> list:
 
 
 def hull_from_json(graph: DirectedGraph, data) -> Hull:
-    from .lattice import Hull, HullEntry
+    """Decode a hull, which must be a closed set of primitive ideals.
+
+    A shape is closed exactly when it is the hull of its kernel, so each
+    stratum of ``hull(hull_to_pair(shape))`` must be one of the given
+    ones.  The closure holds the shape, and lists every tail the shape
+    covers once, so that makes the two equal up to order.
+    """
+    from .lattice import Hull, HullEntry, hull, hull_to_pair
 
     if not isinstance(data, list):
         raise MalformedHullError("hull JSON must be a list of strata")
@@ -230,7 +243,15 @@ def hull_from_json(graph: DirectedGraph, data) -> Hull:
         except NotAMaximalTailError as err:
             raise MalformedHullError(str(err)) from err
         entries.append(HullEntry(tail, closed_set_from_json(item["allowed"])))
-    return Hull(tuple(entries))
+    shape = Hull(tuple(entries))
+    given = set(entries)
+    for entry in hull(graph, hull_to_pair(graph, shape)).entries:
+        if entry not in given:
+            tail = excerpt(str(sorted(entry.tail.vertices)))
+            raise MalformedHullError(
+                f"the strata are not a closed set: the closure changes the stratum of tail {tail}"
+            )
+    return shape
 
 
 def strata_to_json(strata) -> list:

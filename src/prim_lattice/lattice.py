@@ -22,12 +22,18 @@ from .graph import (
     _vertex_subset,
     cycle_base,
     entrance_free_cycles,
-    is_entrance_free,
     is_saturated_hereditary,
     saturated_hereditary_closure,
 )
 from .record import Record, set_field
-from .tails import MaximalTail, classify_tail, enumerate_maximal_tails, tail_sort_key
+from .tails import (
+    MaximalTail,
+    classify_tail,
+    cycle_index,
+    cycles_outside,
+    enumerate_maximal_tails,
+    tail_sort_key,
+)
 
 STRATUM_CIRCLE = "z ranges over \U0001d54b"
 STRATUM_POINT = "z = 1"
@@ -101,7 +107,7 @@ def ideal_pair(graph: DirectedGraph, vertices: Iterable, assignment) -> IdealPai
         if cycle in keyed:
             raise ValueError(f"cycle {cycle.edges} assigned twice")
         keyed[cycle] = value
-    expected = entrance_free_cycles(graph, frozenset(graph.vertices) - inside)
+    expected = cycles_outside(graph, inside)
     if set(keyed) != set(expected):
         raise ValueError(
             "assignment keys must be exactly the entrance-free cycles "
@@ -119,7 +125,7 @@ def ideal_pair(graph: DirectedGraph, vertices: Iterable, assignment) -> IdealPai
 
 def zero_ideal(graph: DirectedGraph) -> IdealPair:
     """The zero ideal: no vertices, every cycle set empty."""
-    cycles = entrance_free_cycles(graph, frozenset(graph.vertices))
+    cycles = cycles_outside(graph, frozenset())
     return IdealPair(frozenset(), tuple((c, OpenCircleSet.empty()) for c in cycles))
 
 
@@ -159,7 +165,7 @@ def prim_to_pair(graph: DirectedGraph, prim: PrimitiveIdeal) -> IdealPair:
     """
     tail = prim.tail
     complement = frozenset(graph.vertices) - tail.vertices
-    cycles = entrance_free_cycles(graph, tail.vertices)
+    cycles = cycles_outside(graph, complement)
     if tail.is_cyclic:
         if cycles != [tail.cycle]:
             raise InternalInvariantViolation(
@@ -226,7 +232,7 @@ def pair_meet(graph: DirectedGraph, pairs: Sequence[IdealPair]) -> IdealPair:
         raise ValueError("meet of an empty family is not defined")
     met = frozenset(graph.vertices).intersection(*(pair.vertices for pair in pairs))
     cycle_sets = []
-    for cycle in entrance_free_cycles(graph, frozenset(graph.vertices) - met):
+    for cycle in cycles_outside(graph, met):
         members = [pair for pair in pairs if pair.constrains(cycle)]
         if not members:
             raise InternalInvariantViolation(
@@ -262,7 +268,7 @@ def pair_join(graph: DirectedGraph, pairs: Sequence[IdealPair]) -> IdealPair:
 
     promoted = set()
     cycle_sets = []
-    for cycle in entrance_free_cycles(graph, frozenset(graph.vertices) - base):
+    for cycle in cycles_outside(graph, base):
         value = pooled_set(cycle)
         if value.is_full:
             promoted.add(cycle_base(graph, cycle))
@@ -272,7 +278,7 @@ def pair_join(graph: DirectedGraph, pairs: Sequence[IdealPair]) -> IdealPair:
         return IdealPair(base, tuple(cycle_sets))
     joined = saturated_hereditary_closure(graph, base | promoted)
     cycle_sets = []
-    for cycle in entrance_free_cycles(graph, frozenset(graph.vertices) - joined):
+    for cycle in cycles_outside(graph, joined):
         value = pooled_set(cycle)
         if value.is_full:
             raise InternalInvariantViolation(
@@ -312,7 +318,9 @@ def closure_contains(
     if not target.tail.vertices <= covered:
         return False
     tail = target.tail
-    if tail.is_cyclic and is_entrance_free(graph, tail.cycle, covered):
+    # the tail lies in ``covered``, so its cycle is entrance-free there
+    # exactly when none of the cycle's entries is covered
+    if tail.is_cyclic and cycle_index(graph).entries[tail.cycle].isdisjoint(covered):
         points = finite_closed_set(
             prim.angle for prim in prims if prim.tail == tail
         )
@@ -379,11 +387,11 @@ def hull_to_pair(graph: DirectedGraph, shape: Hull) -> IdealPair:
         if vertices in strata:
             raise MalformedHullError(f"duplicate stratum for tail {sorted(vertices)}")
         strata[vertices] = entry
-    covered = frozenset().union(*strata)
+    uncovered = frozenset(graph.vertices).difference(*strata)
     # aperiodic strata sit under the key None, which no cycle equals
     own = {entry.tail.cycle: entry for entry in strata.values()}
     cycle_sets = []
-    for cycle in entrance_free_cycles(graph, covered):
+    for cycle in cycles_outside(graph, uncovered):
         if cycle not in own:
             raise InternalInvariantViolation(
                 f"entrance-free cycle {cycle.edges} of a hull is no stratum's own cycle"
@@ -394,7 +402,7 @@ def hull_to_pair(graph: DirectedGraph, shape: Hull) -> IdealPair:
                 f"stratum {sorted(own[cycle].tail.vertices)} allows no point of its cycle"
             )
         cycle_sets.append((cycle, value))
-    return IdealPair(frozenset(graph.vertices) - covered, tuple(cycle_sets))
+    return IdealPair(uncovered, tuple(cycle_sets))
 
 
 def meet_of_primitives(

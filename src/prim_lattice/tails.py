@@ -18,7 +18,6 @@ from .graph import (
     _vertex_subset,
     cycle_from_edges,
     cycle_vertices,
-    entrance_free_cycles,
     reachable_ranges,
 )
 from .record import Record, set_field
@@ -83,7 +82,7 @@ def classify_tail(graph: DirectedGraph, subset) -> MaximalTail:
     tail = frozenset(subset)
     if not is_maximal_tail(graph, tail):
         raise NotAMaximalTailError(f"{sorted(tail)} is not a maximal tail")
-    cycles = entrance_free_cycles(graph, tail)
+    cycles = cycles_outside(graph, frozenset(graph.vertices) - tail)
     if not cycles:
         return MaximalTail(tail, None, 0)
     if len(cycles) > 1:
@@ -146,10 +145,85 @@ def strongly_connected_components(graph: DirectedGraph) -> list[frozenset]:
     return components
 
 
-def _has_internal_edge(graph: DirectedGraph, component: frozenset) -> bool:
-    return any(
-        src in component and rng in component for src, rng in graph.edges.values()
-    )
+class CycleIndex:
+    """The cycles that can be entrance-free in a forward-closed set.
+
+    Let S be forward closed and C an entrance-free cycle of S.  S holds
+    everything C reaches, so a path from anywhere in C's strongly
+    connected component back into C runs inside S, and its last edge
+    would be an entrance.  So C is a whole component, one in which each
+    vertex has exactly one in-edge from inside: a *cycle component*.
+    Those depend on the graph alone, and C is entrance-free in S exactly
+    when its vertices lie in S and none of its *entries* (the sources of
+    its in-edges from outside it) do.
+
+    ``components`` are the strongly connected components that hold an
+    edge, in Tarjan order.  ``cycles`` lists ``(cycle, vertex,
+    entries)`` for each cycle component, sorted by cycle, with one of
+    its vertices; ``entries`` maps each of those cycles to its entries.
+    """
+
+    __slots__ = ("components", "cycles", "entries")
+
+    def __init__(self, components: list, cycles: list):
+        self.components = components
+        self.cycles = cycles
+        self.entries = {cycle: entries for cycle, _, entries in cycles}
+
+
+def build_cycle_index(graph: DirectedGraph) -> CycleIndex:
+    """One Tarjan run and one pass over the in-edges: O(V+E) plus sorting."""
+    tarjan = strongly_connected_components(graph)
+    home = {v: i for i, component in enumerate(tarjan) for v in component}
+    edges = graph.edges
+    components = []
+    cycles = []
+    for i, component in enumerate(tarjan):
+        # in-edges from inside the component; an undeclared source is in
+        # no component, and in no set, so it is never an entrance
+        inner = {v: [e for e in graph._in[v] if home.get(edges[e][0]) == i] for v in component}
+        if any(inner.values()):
+            components.append(component)
+        if not all(len(found) == 1 for found in inner.values()):
+            continue
+        # following the unique inner feeders back from one vertex walks
+        # the whole component, since every vertex reaches that one
+        start = v = min(component)
+        walk = []
+        while True:
+            walk.append(inner[v][0])
+            v = edges[walk[-1]][0]
+            if v == start:
+                break
+        entries = frozenset(
+            edges[e][0] for w in component for e in graph._in[w] if home.get(edges[e][0], i) != i
+        )
+        cycles.append((Cycle(tuple(walk)), start, entries))
+    cycles.sort(key=lambda item: item[0].edges)
+    return CycleIndex(components, cycles)
+
+
+def cycle_index(graph: DirectedGraph) -> CycleIndex:
+    """The graph's :class:`CycleIndex`, built on first use and kept on the graph."""
+    index = graph._cycle_index
+    if index is None:
+        index = graph._cycle_index = build_cycle_index(graph)
+    return index
+
+
+def cycles_outside(graph: DirectedGraph, hereditary: frozenset) -> list[Cycle]:
+    """The entrance-free cycles of the complement of a hereditary set, sorted.
+
+    The same list as ``entrance_free_cycles(graph, V - hereditary)``,
+    read off the index in time linear in the cycle components and their
+    entries.  The complement is forward closed, and a cycle component
+    with one vertex outside ``hereditary`` lies wholly outside it.
+    """
+    return [
+        cycle
+        for cycle, vertex, entries in cycle_index(graph).cycles
+        if vertex not in hereditary and entries <= hereditary
+    ]
 
 
 def enumerate_maximal_tails(graph: DirectedGraph) -> list[MaximalTail]:
@@ -161,8 +235,7 @@ def enumerate_maximal_tails(graph: DirectedGraph) -> list[MaximalTail]:
     """
     tails = [
         classify_tail(graph, reachable_ranges(graph, component))
-        for component in strongly_connected_components(graph)
-        if _has_internal_edge(graph, component)
+        for component in cycle_index(graph).components
     ]
     return sorted(tails, key=tail_sort_key)
 

@@ -110,6 +110,12 @@ class TestLatticeCommands:
         assert code == 0
         assert out.strip() == pair
 
+    def test_from_hull_rejects_a_shape_that_is_not_closed(self, capsys):
+        shape = '[{"tail":{"vertices":["u","v"]},"allowed":{"points":["0"]}}]'
+        code, out, err = run(capsys, "from-hull", "-g", G_FLOW, "-H", shape)
+        assert code == 1 and out == ""
+        assert err == "error: the strata are not a closed set: the closure changes the stratum of tail ['v']\n"
+
     def test_closure(self, capsys):
         prims = (
             '[{"tail":{"vertices":["u","v"]},"z":"1/4"},'
@@ -221,6 +227,9 @@ class TestBoundedEcho:
     FULL = '{"H":["v"]}'
     LONG = "x" * 100_000
     DIGITS = "1" * 5_000
+    LONG_LOOP = '{"vertices":["%s"],"edges":[{"id":"a","src":"%s","rng":"%s"}]}' % (LONG, LONG, LONG)
+    FULL_LONG = '{"H":["%s"]}' % LONG
+    LONG_PRIM = '{"tail":{"vertices":["%s"],%%s},"z":0}' % LONG
 
     @pytest.mark.parametrize(
         "argv, expected",
@@ -235,10 +244,14 @@ class TestBoundedEcho:
             (("validate", "-g", '{"vertices":["v"],"edges":[{"id":"%s","src":"v","rng":"w"}]}' % LONG), 1),
             (("validate", "-g", '{"vertices":[%s],"edges":[]}' % DIGITS), 2),
             (("hull", "-g", G_LOOP, "-p", '{"H":[%s],"U":[]}' % DIGITS), 2),
+            (("contains", "-g", LONG_LOOP, "-p", FULL_LONG, "-r", LONG_PRIM % '"kind":"aperiodic"'), 1),
+            (("contains", "-g", LONG_LOOP, "-p", FULL_LONG, "-r", LONG_PRIM % '"cycle":["b"]'), 1),
+            (("contains", "-g", LONG_LOOP, "-p", FULL_LONG, "-r", LONG_PRIM % '"period":2'), 1),
         ],
         ids=[
             "deep-argument", "long-path", "deep-H", "deep-angle", "deep-kind",
             "unknown-id", "source-vertex", "dangling-edge", "long-integer-graph", "long-integer-pair",
+            "tail-kind", "tail-cycle", "tail-period",
         ],
     )
     def test_one_short_line(self, capsys, argv, expected):
@@ -373,6 +386,14 @@ class TestStrictShapes:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "must be a fraction string or an integer" in err
+
+    @pytest.mark.parametrize("period", ["true", "1.0"])
+    def test_period_is_a_json_integer(self, capsys, period):
+        prim = '{"tail":{"vertices":["v"],"period":%s},"z":"1/2"}' % period
+        code, out, err = run(capsys, "contains", "-g", G_LOOP, "-p", self.PAIR, "-r", prim)
+        assert code == 1 and out == ""
+        assert err.startswith("error: a tail's 'period' ") and err.count("\n") == 1
+        assert "must be a JSON integer" in err
 
     def test_integer_angles_still_accepted(self, capsys):
         code, out, _ = run(capsys, "contains", "-g", G_LOOP, "-p", '{"H":[],"U":[{"cycle":["a"],"set":[[0,1]]}]}', "-r", '{"tail":{"vertices":["v"]},"z":0}')

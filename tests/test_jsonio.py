@@ -10,6 +10,8 @@ import pytest
 
 from prim_lattice import (
     ClosedCircleSet,
+    Hull,
+    HullEntry,
     MalformedHullError,
     OpenCircleSet,
     OracleReport,
@@ -17,7 +19,9 @@ from prim_lattice import (
     classify_tail,
     enumerate_maximal_tails,
     enumerate_primitive_strata,
+    finite_closed_set,
     hull,
+    hull_to_pair,
     ideal_pair,
     punctured_circle,
     random_graph,
@@ -122,6 +126,12 @@ class TestTailCodec:
         with pytest.raises(ValueError):
             jsonio.tail_from_json(g_flow, {"vertices": ["v"], "period": 2})
 
+    @pytest.mark.parametrize("period", [True, 1.0, "1"])
+    def test_period_must_be_a_json_integer(self, period):
+        with pytest.raises(ValueError, match="must be a JSON integer"):
+            jsonio.tail_from_json(g_loop, {"vertices": ["v"], "period": period})
+        assert jsonio.tail_from_json(g_loop, {"vertices": ["v"], "period": 1}).period == 1
+
     def test_aperiodic_shape(self):
         data = jsonio.tail_to_json(classify_tail(g_double, {"v"}))
         assert data == {"vertices": ["v"], "kind": "aperiodic", "cycle": None, "period": 0}
@@ -201,6 +211,37 @@ class TestLatticeCodecs:
         bad_entry = [{"tail": {"vertices": ["u"]}, "allowed": "full"}]
         with pytest.raises(MalformedHullError):
             jsonio.hull_from_json(g_flow, bad_entry)
+
+    def test_hull_must_be_a_closed_set(self):
+        # the closure of the {u,v} stratum at 0 also holds the whole {v} stratum
+        open_shape = [{"tail": {"vertices": ["u", "v"]}, "allowed": {"points": ["0"]}}]
+        with pytest.raises(MalformedHullError, match="not a closed set"):
+            jsonio.hull_from_json(g_flow, open_shape)
+        closed = open_shape + [{"tail": {"vertices": ["v"]}, "allowed": "full"}]
+        assert jsonio.hull_from_json(g_flow, closed[::-1]).entries[0].tail.vertices == {"v"}
+        # an aperiodic stratum holds only the point 0
+        with pytest.raises(MalformedHullError, match="not a closed set"):
+            jsonio.hull_from_json(g_double, [{"tail": {"vertices": ["v"]}, "allowed": "full"}])
+
+    def test_hull_accepts_exactly_the_hulls_of_kernels(self):
+        rng, graphs = _corpus(seed=191, count=30)
+        seen = set()
+        for g in graphs:
+            for _ in range(10):
+                angles = {}
+                for prim in (random_primitive(rng, g) for _ in range(rng.randint(1, 3))):
+                    angles.setdefault(prim.tail, set()).add(prim.angle)
+                shape = Hull(tuple(HullEntry(t, finite_closed_set(a)) for t, a in angles.items()))
+                closure = hull(g, hull_to_pair(g, shape))
+                closed = set(closure.entries) == set(shape.entries)
+                seen.add(closed)
+                data = jsonio.hull_to_json(shape)
+                if closed:
+                    assert jsonio.hull_from_json(g, data) == shape
+                else:
+                    with pytest.raises(MalformedHullError, match="not a closed set"):
+                        jsonio.hull_from_json(g, data)
+        assert seen == {True, False}
 
     def test_strata_shape(self):
         data = jsonio.strata_to_json(enumerate_primitive_strata(g_double))

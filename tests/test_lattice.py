@@ -280,13 +280,13 @@ class TestMeetJoin:
     def test_join_without_promotion_lists_cycles_once(self, monkeypatch):
         rng = random.Random(83)
         listed = []
-        listing = lattice_module.entrance_free_cycles
+        lookup = lattice_module.cycles_outside
 
-        def counted(graph, subset):
-            listed.append(subset)
-            return listing(graph, subset)
+        def counted(graph, hereditary):
+            listed.append(hereditary)
+            return lookup(graph, hereditary)
 
-        monkeypatch.setattr(lattice_module, "entrance_free_cycles", counted)
+        monkeypatch.setattr(lattice_module, "cycles_outside", counted)
         outcomes = set()
         for _ in range(200):
             g = random_graph(rng, max_vertices=8, max_edges=16)
@@ -420,6 +420,27 @@ class TestHull:
             for _ in range(20):
                 p = random_ideal_pair(rng, g)
                 assert hull_to_pair(g, hull(g, p)) == p
+
+    def test_hull_of_kernel_is_the_closure_on_shapes(self):
+        """Hull of kernel is the closure; ``test_round_trip`` checks the
+        other law of the Galois connection, kernel of hull = identity."""
+        rng = random.Random(103)
+        probes = [F(k, 24) for k in range(24)]
+        for _ in range(40):
+            g = random_graph(rng, max_vertices=8, max_edges=14)
+            for _ in range(5):
+                prims = [random_primitive(rng, g) for _ in range(rng.randint(1, 4))]
+                angles = {}
+                for prim in prims:
+                    angles.setdefault(prim.tail, []).append(prim.angle)
+                shape = Hull(tuple(HullEntry(t, finite_closed_set(a)) for t, a in angles.items()))
+                kernel = hull_to_pair(g, shape)
+                assert kernel == meet_of_primitives(g, prims)
+                closure = {entry.tail: entry.allowed for entry in hull(g, kernel).entries}
+                for tail in enumerate_maximal_tails(g):
+                    for angle in (probes + [p.angle for p in prims]) if tail.is_cyclic else [F(0)]:
+                        inside = tail in closure and closure[tail].contains(angle)
+                        assert inside == closure_contains(g, prims, PrimitiveIdeal(tail, angle))
 
 
 class TestMeetOfPrimitives:
