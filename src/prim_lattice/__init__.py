@@ -29,14 +29,14 @@ _EXPORTS = {
         "validate",
     ),
     "lattice": (
-        "STRATUM_CIRCLE", "STRATUM_POINT", "Hull", "HullEntry", "IdealPair",
-        "PrimitiveIdeal", "as_primitive", "closure_contains", "contained_in_prim",
-        "enumerate_primitive_strata", "gauge_ideal", "hull", "hull_to_pair",
+        "Hull", "HullEntry", "IdealPair", "PrimitiveIdeal", "as_primitive",
+        "closure_contains", "contained_in_prim", "gauge_ideal", "hull", "hull_to_pair",
         "ideal_pair", "improper_ideal", "is_gauge_invariant", "meet_of_primitives",
         "pair_join", "pair_leq", "pair_meet", "prim_to_pair", "zero_ideal",
     ),
     "tails": (
-        "MaximalTail", "classify_tail", "enumerate_maximal_tails", "is_maximal_tail",
+        "STRATUM_CIRCLE", "STRATUM_POINT", "MaximalTail", "classify_tail",
+        "enumerate_maximal_tails", "enumerate_primitive_strata", "is_maximal_tail",
         "strongly_connected_components", "tail_of_cycle", "tail_sort_key",
     ),
     "oracle": (

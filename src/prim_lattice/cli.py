@@ -4,26 +4,35 @@ Every data flag takes a file path, ``@-`` for standard input, or inline
 JSON (anything starting with ``{``, ``[`` or ``"``).  Output is one
 canonical JSON document on stdout; diagnostics go to stderr.  Exit
 codes: 0 success, 1 domain error, 2 usage error, 3 oracle mismatch,
-4 internal error (a bug in this package; its traceback goes to stderr).
+4 internal error (a bug in this package; its traceback goes to stderr),
+141 (128 + SIGPIPE) stdout closed before the output was written, with
+nothing on stderr.
 
-A run loads only what its command uses.  Its parser holds that one
-command; top-level help and an unknown command get the full parser.
-``validate``, ``tails``, ``sat-hered`` and ``gauge-lattice`` never import
-the circle arithmetic, the lattice module or ``fractions``, and only
-``oracle`` imports the oracle.  Error lines quote at most 120 characters
-of the input they echo.
+A run loads only what its command uses.  A well-formed command line is
+read straight from the command table and never imports ``argparse``
+(nor ``gettext`` and ``locale`` behind it); help and anything else go
+to the argparse parser, which prints its own help, usage and errors.
+``validate``, ``tails``, ``prims``, ``sat-hered`` and ``gauge-lattice``
+never import the circle arithmetic, the lattice module or
+``fractions``, and only ``oracle`` imports the oracle.  Error lines
+quote at most 120 characters of the input they echo.
 """
 
 from __future__ import annotations
 
-import argparse
+import functools
 import json
+import os
 import sys
 from importlib import import_module
+from typing import TYPE_CHECKING
 
 from . import jsonio
 from .errors import GraphAlgebraError, excerpt
 from .graph import enumerate_saturated_hereditary, saturated_hereditary_lattice, validate
+
+if TYPE_CHECKING:
+    import argparse
 
 
 class UsageError(Exception):
@@ -136,7 +145,7 @@ _COMMANDS = {
     ),
     "prims": (
         "list the primitive-ideal strata",
-        lambda g: jsonio.strata_to_json(_module("lattice").enumerate_primitive_strata(g)),
+        lambda g: jsonio.strata_to_json(_module("tails").enumerate_primitive_strata(g)),
     ),
     "sat-hered": (
         "list the saturated hereditary sets",
@@ -196,13 +205,73 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser for ``command`` alone, or for every command if it is None.
+# the flag every command takes first, in the shape of the table's data flags
+_GRAPH = ("-g", "--graph", "graph JSON", "graph_from_json")
 
-    Given the same arguments, a one-command parser prints the same help,
-    usage and errors as the full one; ``main`` uses it only when the
-    arguments start with its command.
+
+def _arguments(command: str) -> list:
+    """``(option strings, argparse settings)`` for each flag of ``command``, ``-g`` first."""
+    _, _, *flags = _COMMANDS[command]
+    return [
+        (names, {"help": flag_help, **({"required": True} if isinstance(reader, str) else reader)})
+        for *names, flag_help, reader in [_GRAPH, *flags]
+    ]
+
+
+def _dest(names: list) -> str:
+    # argparse stores each flag under its long name
+    return names[-1].lstrip("-")
+
+
+def _read_argv(argv: list) -> dict | None:
+    """What argparse would read from a well-formed command line, or None.
+
+    Well formed: a known command, then each of its flags at most once,
+    spelt out in full as an argument of its own, its value (unless it is
+    a switch) in the next argument and not starting with ``-``, and
+    every required flag present.  Anything else, help and errors
+    included, is left to :func:`build_parser`.
     """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    arguments = _arguments(argv[0])
+    by_name = {name: (_dest(names), settings) for names, settings in arguments for name in names}
+    values = {}
+    rest = iter(argv[1:])
+    for token in rest:
+        dest, settings = by_name.get(token, (None, None))
+        if dest is None or dest in values:
+            return None
+        if settings.get("action") == "store_true":
+            values[dest] = True
+            continue
+        # a missing value reads as "-", which declines like any "-" value
+        value = next(rest, "-")
+        if value.startswith("-"):
+            return None
+        try:
+            values[dest] = settings.get("type", str)(value)
+        except ValueError:
+            return None
+    for names, settings in arguments:
+        if _dest(names) not in values:
+            if settings.get("required"):
+                return None
+            switch = settings.get("action") == "store_true"
+            values[_dest(names)] = settings.get("default", False if switch else None)
+    return {"command": argv[0], **values}
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser for every command, built once per process.
+
+    ``main`` reads well-formed command lines itself and hands the rest
+    here, so argparse, and ``gettext`` and ``locale`` behind it, load
+    only for help, usage errors and the spellings the reader declines.
+    """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="prim-lattice",
         description=(
@@ -210,42 +279,28 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             "finite source-free directed graph."
         ),
     )
-    # the usage names every command either way; on the full parser a metavar
-    # would also rename the command in its "invalid choice" error
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    commands = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in _COMMANDS if command is None else [command]:
-        help_text, _, *flags = _COMMANDS[name]
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, *_) in _COMMANDS.items():
         sub = commands.add_parser(name, help=help_text)
-        sub.add_argument("-g", "--graph", required=True, help="graph JSON")
-        for *names, flag_help, reader in flags:
-            options = {"required": True} if isinstance(reader, str) else reader
-            sub.add_argument(*names, help=flag_help, **options)
+        for names, settings in _arguments(name):
+            sub.add_argument(*names, **settings)
     return parser
-
-
-# command (None for all of them) -> its parser, built at most once per
-# process, since in-process callers run many commands
-_PARSERS: dict = {}
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # help before a command, or an unknown one, needs the full parser
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    if command not in _PARSERS:
-        _PARSERS[command] = build_parser(command)
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = vars(build_parser().parse_args(argv))
+        except SystemExit as err:
+            return 0 if err.code in (0, None) else 2
+    _, payload_of, *flags = _COMMANDS[args["command"]]
     try:
-        args = _PARSERS[command].parse_args(argv)
-    except SystemExit as err:
-        return 0 if err.code in (0, None) else 2
-    _, payload_of, *flags = _COMMANDS[args.command]
-    try:
-        graph = validate(jsonio.graph_from_json(_load_json(args.graph)))
+        graph = validate(jsonio.graph_from_json(_load_json(args["graph"])))
         values = []
         for *names, _, reader in flags:
-            # argparse stores each flag under its long name
-            value = getattr(args, names[-1].lstrip("-"))
+            value = args[_dest(names)]
             if isinstance(reader, str):
                 value = getattr(jsonio, reader)(graph, _load_json(value))
             values.append(value)
@@ -262,8 +317,15 @@ def main(argv=None) -> int:
 
         traceback.print_exc()
         return 4
-    # a DOT diagram is the one payload that is text, not JSON
-    print(payload if isinstance(payload, str) else jsonio.canonical_dumps(payload))
+    try:
+        # a DOT diagram is the one payload that is text, not JSON
+        print(payload if isinstance(payload, str) else jsonio.canonical_dumps(payload))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: point stdout at the null device so the
+        # interpreter's flush at exit finds nothing to complain about
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     # the oracle's report is the one payload that carries a verdict
     return 3 if isinstance(payload, dict) and payload.get("pass") is False else 0
 

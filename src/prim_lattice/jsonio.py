@@ -3,8 +3,8 @@
 Printing followed by parsing is the identity on canonical values, and
 printing is deterministic: keys are sorted and all orderings are the
 canonical ones chosen by the constructing modules.  Parsing is strict:
-lists must be JSON arrays, vertex and edge ids JSON strings, and angles
-fraction strings or integers.
+lists must be JSON arrays, vertex and edge ids distinct JSON strings,
+and angles fraction strings or integers.
 """
 
 from __future__ import annotations
@@ -73,7 +73,13 @@ def graph_from_json(data) -> DirectedGraph:
     ):
         raise ValueError("'edges' must be an array of objects with 'id', 'src' and 'rng' fields")
     rows = [_ids([entry["id"], entry["src"], entry["rng"]], "an edge") for entry in edges]
-    return DirectedGraph(_ids(data.get("vertices", []), "'vertices'"), rows)
+    vertices = _ids(data.get("vertices", []), "'vertices'")
+    seen = set()
+    for v in vertices:
+        if v in seen:
+            raise ValueError(f"duplicate vertex id {excerpt(repr(v))}")
+        seen.add(v)
+    return DirectedGraph(vertices, rows)
 
 
 def open_set_to_json(value: OpenCircleSet):

@@ -35,10 +35,6 @@ from .tails import (
     tail_sort_key,
 )
 
-STRATUM_CIRCLE = "z ranges over \U0001d54b"
-STRATUM_POINT = "z = 1"
-
-
 class PrimitiveIdeal(Record):
     """A primitive ideal: a maximal tail plus a point of the circle.
 
@@ -144,15 +140,6 @@ def gauge_ideal(graph: DirectedGraph, vertices: Iterable) -> IdealPair:
 
 def is_gauge_invariant(pair: IdealPair) -> bool:
     return all(value.is_empty() for _, value in pair.cycle_sets)
-
-
-def enumerate_primitive_strata(graph: DirectedGraph) -> list[tuple[MaximalTail, str]]:
-    """One entry per maximal tail, annotated with its circle parameter."""
-    strata = []
-    for tail in enumerate_maximal_tails(graph):
-        note = STRATUM_CIRCLE if tail.is_cyclic else STRATUM_POINT
-        strata.append((tail, note))
-    return strata
 
 
 def prim_to_pair(graph: DirectedGraph, prim: PrimitiveIdeal) -> IdealPair:

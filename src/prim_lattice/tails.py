@@ -22,6 +22,9 @@ from .graph import (
 )
 from .record import Record, set_field
 
+STRATUM_CIRCLE = "z ranges over \U0001d54b"
+STRATUM_POINT = "z = 1"
+
 
 class MaximalTail(Record):
     """A maximal tail together with its classification.
@@ -238,6 +241,15 @@ def enumerate_maximal_tails(graph: DirectedGraph) -> list[MaximalTail]:
         for component in cycle_index(graph).components
     ]
     return sorted(tails, key=tail_sort_key)
+
+
+def enumerate_primitive_strata(graph: DirectedGraph) -> list[tuple[MaximalTail, str]]:
+    """One entry per maximal tail, annotated with its circle parameter."""
+    strata = []
+    for tail in enumerate_maximal_tails(graph):
+        note = STRATUM_CIRCLE if tail.is_cyclic else STRATUM_POINT
+        strata.append((tail, note))
+    return strata
 
 
 def tail_of_cycle(graph: DirectedGraph, cycle) -> MaximalTail:

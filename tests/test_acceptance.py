@@ -15,6 +15,8 @@ import pytest
 
 from prim_lattice import (
     STRATUM_POINT,
+    Hull,
+    HullEntry,
     InternalInvariantViolation,
     OpenCircleSet,
     PrimitiveIdeal,
@@ -28,6 +30,7 @@ from prim_lattice import (
     enumerate_maximal_tails,
     enumerate_primitive_strata,
     enumerate_saturated_hereditary,
+    finite_closed_set,
     gauge_ideal,
     hull,
     hull_to_pair,
@@ -282,4 +285,29 @@ def test_criterion_9_gauge_invariant_sublattice(verdict):
                 failures.append(("join", g, h1, h2))
     ok = not failures
     verdict(9, "gauge-invariant ideals mirror the vertex-set lattice", ok)
+    assert ok, failures[:3]
+
+
+def test_criterion_10_hull_of_kernel_is_the_closure(verdict):
+    """hull ∘ kernel = closure on finite sets of primitives; the other law
+    of the Galois connection, kernel ∘ hull = id, is criterion 3."""
+    rng = random.Random(10000)
+    probes = [F(k, 24) for k in range(24)]
+    failures = []
+    for g in _corpus()[:60]:
+        tails = enumerate_maximal_tails(g)
+        for _ in range(5):
+            prims = [random_primitive(rng, g) for _ in range(rng.randint(1, 4))]
+            angles = {}
+            for prim in prims:
+                angles.setdefault(prim.tail, []).append(prim.angle)
+            shape = Hull(tuple(HullEntry(t, finite_closed_set(a)) for t, a in angles.items()))
+            closure = {entry.tail: entry.allowed for entry in hull(g, hull_to_pair(g, shape)).entries}
+            for tail in tails:
+                for angle in probes + [p.angle for p in prims] if tail.is_cyclic else [F(0)]:
+                    inside = tail in closure and closure[tail].contains(angle)
+                    if inside != closure_contains(g, prims, PrimitiveIdeal(tail, angle)):
+                        failures.append((g, prims, tail, angle))
+    ok = not failures
+    verdict(10, "hull of kernel is the closure on 300 finite sets of primitives", ok)
     assert ok, failures[:3]

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import ast
 import io
+import itertools
 import json
+import os
 import re
 import subprocess
 import sys
@@ -395,6 +397,15 @@ class TestStrictShapes:
         assert err.startswith("error: a tail's 'period' ") and err.count("\n") == 1
         assert "must be a JSON integer" in err
 
+    @pytest.mark.parametrize("vertex", ["a", "x" * 1000], ids=["short", "long"])
+    def test_repeated_vertex_id(self, capsys, vertex):
+        graph = json.dumps(
+            {"vertices": [vertex, vertex], "edges": [{"id": "e", "src": vertex, "rng": vertex}]}
+        )
+        code, out, err = run(capsys, "validate", "-g", graph)
+        assert code == 1 and out == ""
+        assert err == f"error: duplicate vertex id {excerpt(repr(vertex))}\n"
+
     def test_integer_angles_still_accepted(self, capsys):
         code, out, _ = run(capsys, "contains", "-g", G_LOOP, "-p", '{"H":[],"U":[{"cycle":["a"],"set":[[0,1]]}]}', "-r", '{"tail":{"vertices":["v"]},"z":0}')
         assert code == 0 and out == '{"contained":true}\n'
@@ -402,25 +413,37 @@ class TestStrictShapes:
 
 class TestParserReuse:
     def test_main_reuses_one_parser(self, capsys, monkeypatch):
-        """Each command's parser, and the full one, is built at most once."""
+        """Well-formed runs build no parser; help and errors share one."""
+        import argparse
+
         from prim_lattice import cli
 
         built = []
-        build = cli.build_parser
+        init = argparse.ArgumentParser.__init__
 
-        def counted(command=None):
-            built.append(command)
-            return build(command)
+        def counted(parser, *args, **kwargs):
+            init(parser, *args, **kwargs)
+            built.append(parser.prog)
 
-        monkeypatch.setattr(cli, "build_parser", counted)
-        monkeypatch.setattr(cli, "_PARSERS", {})
-        for _ in range(2):
-            assert run(capsys, "tails", "-g", G_LOOP)[0] == 0
-            assert run(capsys, "frobnicate")[0] == 2
-            assert run(capsys, "tails")[0] == 2
-            assert run(capsys, "--help")[0] == 0
-            assert run(capsys, "sat-hered", "-g", G_FLOW)[0] == 0
-        assert sorted(built, key=str) == [None, "sat-hered", "tails"]
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli.build_parser.cache_clear()
+        try:
+            for _ in range(2):
+                assert run(capsys, "tails", "-g", G_LOOP)[0] == 0
+                assert run(capsys, "sat-hered", "--graph", G_FLOW)[0] == 0
+                assert run(capsys, "gauge-lattice", "--dot", "-g", G_FLOW)[0] == 0
+            assert built == []
+            for _ in range(2):
+                assert run(capsys, "frobnicate")[0] == 2
+                assert run(capsys, "tails")[0] == 2
+                assert run(capsys, "--help")[0] == 0
+                assert run(capsys, "tails", "-g", G_LOOP, "-h")[0] == 0
+                # argparse reads the forms the command table does not
+                assert run(capsys, "tails", "--graph=" + G_FLOW) == (0, FLOW_TAILS + "\n", "")
+        finally:
+            cli.build_parser.cache_clear()
+        # the full parser and, under it, one parser per command
+        assert built == ["prim-lattice", *(f"prim-lattice {c}" for c in COMMAND_FLAGS)]
         code, out, _ = run(capsys, "tails", "-g", G_FLOW)
         assert (code, out) == (0, FLOW_TAILS + "\n")
 
@@ -432,6 +455,39 @@ def _fresh_modules(code: str) -> set:
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     )
     return set(ast.literal_eval(result.stdout.splitlines()[-1]))
+
+
+def _imports(*argv):
+    """A ``python -m prim_lattice.cli`` run and the names it imported."""
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "prim_lattice.cli", *argv],
+        capture_output=True,
+        text=True,
+    )
+    # -X importtime writes one "import time: self | cumulative | name" line
+    # per import statement (not per importlib.import_module call)
+    imported = {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines()}
+    return result, imported
+
+
+LOOP_PAIR = '{"H":[],"U":[{"cycle":["a"],"set":"empty"}]}'
+LOOP_PRIM = '{"tail":{"vertices":["v"]},"z":"0"}'
+
+# a well-formed command line for every command but ``oracle``
+WELL_FORMED = {
+    "validate": ["-g", G_FLOW],
+    "tails": ["-g", G_FLOW],
+    "prims": ["-g", G_FLOW],
+    "sat-hered": ["-g", G_FLOW],
+    "leq": ["-g", G_LOOP, "-p", LOOP_PAIR, "--second", LOOP_PAIR],
+    "meet": ["-g", G_LOOP, "-P", f"[{LOOP_PAIR}]"],
+    "join": ["--pairs", f"[{LOOP_PAIR}]", "-g", G_LOOP],
+    "hull": ["-g", G_LOOP, "-p", LOOP_PAIR],
+    "from-hull": ["-g", G_LOOP, "-H", '[{"tail":{"vertices":["v"]},"allowed":"full"}]'],
+    "closure": ["-t", LOOP_PRIM, "-g", G_LOOP, "-X", f"[{LOOP_PRIM}]"],
+    "contains": ["-g", G_LOOP, "-p", LOOP_PAIR, "-r", LOOP_PRIM],
+    "gauge-lattice": ["--dot", "--graph", G_FLOW],
+}
 
 
 class TestStartUp:
@@ -452,18 +508,24 @@ class TestStartUp:
         assert "prim_lattice" in loaded
         assert not [name for name in loaded if name.startswith("prim_lattice.")]
 
-    @pytest.mark.parametrize("command", ["validate", "tails", "sat-hered", "gauge-lattice"])
+    @pytest.mark.parametrize("command", ["validate", "tails", "prims", "sat-hered", "gauge-lattice"])
     def test_graph_commands_skip_circle_and_lattice(self, command):
-        result = subprocess.run(
-            [sys.executable, "-X", "importtime", "-m", "prim_lattice.cli", command, "-g", G_FLOW],
-            capture_output=True,
-            text=True,
-        )
+        result, imported = _imports(command, "-g", G_FLOW)
         assert result.returncode == 0 and result.stdout
-        # -X importtime writes one "import time: self | cumulative | name" line per import
-        imported = {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines()}
         assert {"prim_lattice.jsonio", "prim_lattice.graph"} <= imported
         assert not imported & {"fractions", "prim_lattice.circle", "prim_lattice.lattice"}
+
+    @pytest.mark.parametrize("command", list(WELL_FORMED))
+    def test_well_formed_runs_skip_argparse(self, command):
+        result, imported = _imports(command, *WELL_FORMED[command])
+        assert result.returncode == 0 and result.stdout
+        assert "prim_lattice.jsonio" in imported
+        assert not imported & {"argparse", "gettext", "locale"}
+
+    def test_argparse_reads_the_other_forms(self):
+        result, imported = _imports("tails", "--graph=" + G_FLOW)
+        assert (result.returncode, result.stdout) == (0, FLOW_TAILS + "\n")
+        assert "argparse" in imported
 
     def test_every_exported_name_resolves(self):
         loaded = _fresh_modules(
@@ -606,8 +668,8 @@ class TestCommandFlags:
 
 
 class TestOneCommandParser:
-    """A parser that holds only the command being run prints and exits
-    byte for byte as the parser holding all of them does."""
+    """On help and malformed lines ``main`` prints and exits byte for byte
+    as the full argparse parser does."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -633,3 +695,168 @@ class TestOneCommandParser:
         assert (code, out, err) == (done.value.code, full.out, full.err)
         if argv[0] == "frobnicate":
             assert "argument command: invalid choice: 'frobnicate'" in err
+
+
+TEN_LOOPS = json.dumps(
+    {
+        "vertices": [f"v{i}" for i in range(10)],
+        "edges": [{"id": f"e{i}", "src": f"v{i}", "rng": f"v{i}"} for i in range(10)],
+    }
+)
+
+
+class TestClosedStdout:
+    """A reader that has gone away is no error of ours: exit 141 quietly."""
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv",
+        [("tails", "-g", G_FLOW), ("gauge-lattice", "-g", TEN_LOOPS)],
+        ids=["one-line", "73-kB"],
+    )
+    def test_no_traceback(self, argv, buffered):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "prim_lattice.cli", *argv],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                env=env,
+            )
+        finally:
+            os.close(write)
+        assert (result.returncode, result.stderr) == (141, b"")
+
+
+def _well_formed(command: str):
+    """Every well-formed argument list for ``command``: each order of its
+    flags, each spelling of each flag, each optional flag in or out."""
+    from prim_lattice import cli
+
+    arguments = cli._arguments(command)
+    required = [a for a in arguments if a[1].get("required")]
+    optional = [a for a in arguments if not a[1].get("required")]
+    for k in range(len(optional) + 1):
+        for chosen in itertools.combinations(optional, k):
+            for order in itertools.permutations(required + list(chosen)):
+                for spelling in itertools.product(*(names for names, _ in order)):
+                    argv = [command]
+                    for i, (name, (_, settings)) in enumerate(zip(spelling, order)):
+                        argv.append(name)
+                        if "type" in settings:
+                            argv.append(str(7 + i))
+                        elif settings.get("action") != "store_true":
+                            argv.append([G_LOOP, "@-", "pair.json"][i])
+                    yield argv
+
+
+def _malformed(command: str):
+    """Argument lists for ``command`` that the table reader leaves to argparse."""
+    base = next(_well_formed(command))
+    flags = base[1::2]
+    yield base + ["-h"]
+    yield [command, "--help", *base[1:]]
+    yield base + ["--bogus", "x"]
+    yield base + ["extra"]
+    yield base + ["--"]
+    yield [command, "--", *base[1:]]
+    yield base + ["--graph", G_LOOP]
+    yield [command, "--graph=" + G_LOOP, *base[3:]]
+    yield [command, "-g" + G_LOOP, *base[3:]]
+    yield [command, "--gra", G_LOOP, *base[3:]]
+    yield [command, "-g", "-x", *base[3:]]
+    yield [command, "-g", "-", *base[3:]]
+    yield [command, "-g", "-1", *base[3:]]
+    yield [command, *base[3:], "-g"]
+    yield [command, "-g", G_LOOP, "-p", LOOP_PAIR, *base[3:]]
+    for i, flag in enumerate(flags):
+        # each required flag left out, and each given twice
+        yield base[: 1 + 2 * i] + base[3 + 2 * i :]
+        yield base + [flag, "x"]
+
+
+DECLINED = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["frobnicate", "-g", G_LOOP],
+    ["--", "tails", "-g", G_LOOP],
+    ["-g", G_LOOP, "tails"],
+    ["gauge-lattice", "-g", G_LOOP, "--dot", "x"],
+    ["gauge-lattice", "-g", G_LOOP, "--dot", "--dot"],
+    ["gauge-lattice", "-g", G_LOOP, "--do"],
+    ["oracle", "-g", G_LOOP, "--seed", "x"],
+    ["oracle", "-g", G_LOOP, "--seed", "1.5"],
+    ["oracle", "-g", G_LOOP, "--seed", "-1"],
+    ["oracle", "-g", G_LOOP, "--seed=3"],
+    ["oracle", "-g", G_LOOP, "--samples"],
+    ["oracle", "-g", G_LOOP, "--seed", "1", "--seed", "2"],
+    *(argv for command in COMMAND_FLAGS for argv in _malformed(command)),
+]
+
+ACCEPTED = [
+    *(argv for command in COMMAND_FLAGS for argv in _well_formed(command)),
+    ["tails", "-g", ""],
+    ["tails", "-g", " -x"],
+    ["oracle", "-g", G_LOOP, "--seed", " 3 ", "--samples", "0"],
+    ["oracle", "--samples", "1_0", "-g", "x"],
+]
+
+
+class TestCommandLineReader:
+    """``main`` reads well-formed argument lists from the command table
+    and leaves every other one to argparse; what it reads is what
+    argparse would have read."""
+
+    @staticmethod
+    def argparse_reads(argv):
+        from prim_lattice import cli
+
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+    def test_reads_what_argparse_reads(self, capsys):
+        from prim_lattice import cli
+
+        assert len(ACCEPTED) > 150
+        for argv in ACCEPTED:
+            read = cli._read_argv(argv)
+            assert read is not None, argv
+            assert read == self.argparse_reads(argv), argv
+
+    def test_leaves_the_rest_to_argparse(self, capsys):
+        from prim_lattice import cli
+
+        assert len(DECLINED) > 200
+        for argv in DECLINED:
+            assert cli._read_argv(argv) is None, argv
+
+    def test_argparse_runs_the_rest(self, capsys):
+        """A declined list prints argparse's help or error, or, if argparse
+        reads it, runs as the list spelt out in full would."""
+        from prim_lattice import cli
+
+        respelt = 0
+        for argv in DECLINED:
+            expected = self.argparse_reads(argv)
+            full = capsys.readouterr()
+            code, out, err = run(capsys, *argv)
+            if expected is None:
+                assert (code, out, err) == (2 if full.err else 0, full.out, full.err), argv
+                continue
+            again = [expected.pop("command")]
+            for dest, value in expected.items():
+                if value is True:
+                    again.append(f"--{dest}")
+                elif value is not False:
+                    again += [f"--{dest}", str(value)]
+            if cli._read_argv(again) is not None:
+                respelt += 1
+                assert (code, out, err) == run(capsys, *again), argv
+        assert respelt > 20

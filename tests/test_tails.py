@@ -90,6 +90,16 @@ class TestClassification:
         assert small.cycle.edges == ("b",) and small.period == 1
         assert entrance_free_cycles(g_flow, {"u", "v"}) == [big.cycle]
 
+    @pytest.mark.parametrize("length", [2, 7, 16])
+    def test_period_is_the_cycle_length(self, length):
+        # a ring feeding a loop: the ring's tail is cyclic with the ring's period
+        ring = {f"r{i}": (f"v{i}", f"v{(i + 1) % length}") for i in range(length)}
+        edges = {**ring, "out": ("v0", "w"), "loop": ("w", "w")}
+        g = validate(DirectedGraph([*(f"v{i}" for i in range(length)), "w"], edges))
+        small, big = enumerate_maximal_tails(g)
+        assert (small.period, small.cycle.edges) == (1, ("loop",))
+        assert big.period == length and sorted(big.cycle.edges) == sorted(ring)
+
     def test_rejects_non_tails(self):
         with pytest.raises(NotAMaximalTailError):
             classify_tail(g_flow, {"u"})
@@ -111,6 +121,25 @@ class TestEnumeration:
         for g in _corpus():
             fast = [t.vertices for t in enumerate_maximal_tails(g)]
             assert fast == brute_maximal_tails(g)
+
+    def test_matches_the_oracle_up_to_sixteen_vertices(self):
+        """Enumeration and classification against brute force, on graphs
+        up to the oracle's 16-vertex guard; each brute-force tail's cycle
+        is checked against the general entrance-free cycle scan."""
+        rng = random.Random(16)
+        sizes = []
+        for _ in range(40):
+            g = random_graph(rng, max_vertices=16, max_edges=32)
+            sizes.append(len(g.vertices))
+            brute = brute_maximal_tails(g)
+            tails = enumerate_maximal_tails(g)
+            assert [t.vertices for t in tails] == brute
+            assert [classify_tail(g, vertices) for vertices in brute] == tails
+            for tail in tails:
+                cycles = entrance_free_cycles(g, tail.vertices)
+                assert [tail.cycle] == (cycles or [None])
+                assert tail.period == (len(cycles[0]) if cycles else 0)
+        assert max(sizes) >= 15
 
     def test_sorted_by_size_then_members(self):
         for g in _corpus(seed=13):
