@@ -21,9 +21,9 @@ only outside input goes through the checks in the constructors.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from operator import le, lt
-from typing import Iterable
 
 from .record import Record, set_field
 

@@ -22,8 +22,8 @@ else in the package.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from functools import total_ordering
-from typing import Iterable, Mapping
 
 from .errors import (
     DanglingEndpointError,
@@ -273,8 +273,11 @@ class Cycle(Record):
         ids = tuple(edges)
         if not ids:
             raise ValueError("a cycle has at least one edge")
-        rotations = [ids[i:] + ids[:i] for i in range(len(ids))]
-        set_field(self, "edges", min(rotations))
+        # the least rotation starts at the least id, which a real cycle
+        # holds once; build only the rotations that start there
+        least = min(ids)
+        starts = [i for i, e in enumerate(ids) if e == least]
+        set_field(self, "edges", min(ids[i:] + ids[:i] for i in starts))
 
     def __lt__(self, other):
         if other.__class__ is self.__class__:

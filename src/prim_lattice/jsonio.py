@@ -10,13 +10,14 @@ and angles fraction strings or integers.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING
 
 from .errors import MalformedHullError, NotAMaximalTailError, excerpt
 from .graph import Cycle, DirectedGraph
 
 # circle, lattice and tails are imported by the codecs that use them, so
-# reading and writing a graph loads none of them (nor ``fractions``)
+# reading and writing a graph loads none of them (nor ``fractions``);
+# ``typing.TYPE_CHECKING`` without importing ``typing`` at run time
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .circle import ClosedCircleSet, OpenCircleSet
     from .lattice import Hull, IdealPair, PrimitiveIdeal

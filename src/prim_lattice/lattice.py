@@ -10,8 +10,8 @@ systems and compute order, meets, joins, hulls and closures exactly.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .circle import ClosedCircleSet, OpenCircleSet, as_angle, finite_closed_set, punctured_circle
 from .errors import InternalInvariantViolation, MalformedHullError, NotAMaximalTailError

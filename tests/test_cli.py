@@ -8,11 +8,16 @@ import itertools
 import json
 import os
 import re
+import gc
 import subprocess
 import sys
+from importlib import import_module
+from pathlib import Path
 
 import pytest
 
+import prim_lattice
+from prim_lattice import cli
 from prim_lattice.cli import main
 from prim_lattice.errors import InternalInvariantViolation, excerpt
 from prim_lattice.oracle import OracleReport
@@ -24,6 +29,8 @@ G_FLOW = (
     '{"id":"b","src":"v","rng":"v"},'
     '{"id":"c","src":"u","rng":"v"}]}'
 )
+SOURCED = '{"vertices":["u"],"edges":[]}'
+ROOT = Path(__file__).resolve().parent.parent
 FLOW_TAILS = (
     '[{"cycle":["b"],"kind":"cyclic","period":1,"vertices":["v"]},'
     '{"cycle":["a"],"kind":"cyclic","period":1,"vertices":["u","v"]}]'
@@ -321,10 +328,58 @@ class TestInstalledEntryPoint:
         assert result.stdout == '[[],["u"],["u","v"]]\n'
 
     def test_main_reads_sys_argv(self, capsys, monkeypatch):
-        # the console script ``prim_lattice.cli:main`` is called with no arguments
+        # ``run``, the console script, calls ``main`` with no arguments
         monkeypatch.setattr(sys, "argv", ["prim-lattice", "sat-hered", "-g", G_FLOW])
         assert main() == 0
         assert capsys.readouterr().out == '[[],["u"],["u","v"]]\n'
+
+    def test_console_script_is_run(self):
+        text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+        try:
+            import tomllib
+        except ModuleNotFoundError:  # Python 3.10
+            section = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+            scripts = {
+                name.strip(): target.strip().strip('"')
+                for name, _, target in (line.partition("=") for line in section.splitlines())
+                if target
+            }
+        else:
+            scripts = tomllib.loads(text)["project"]["scripts"]
+        module, _, function = scripts["prim-lattice"].partition(":")
+        assert getattr(import_module(module), function) is cli.run
+
+    def test_run_exits_with_the_code_of_main(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["prim-lattice", "validate", "-g", SOURCED])
+        try:
+            with pytest.raises(SystemExit) as exited:
+                cli.run()
+            frozen = gc.get_freeze_count()
+        finally:
+            gc.unfreeze()
+        assert exited.value.code == 1 and frozen > 0
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_main_never_freezes_the_collector(self, capsys):
+        for argv in (["sat-hered", "-g", G_FLOW], ["validate", "-g", SOURCED], ["--help"]):
+            main(argv)
+            assert gc.get_freeze_count() == 0
+        capsys.readouterr()
+
+    def test_module_run_freezes_before_exit(self):
+        # atexit handlers still run after ``run`` has frozen the collector
+        probe = (
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))\n"
+            "runpy.run_module('prim_lattice.cli', run_name='__main__', alter_sys=True)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe, "sat-hered", "-g", G_FLOW],
+            capture_output=True,
+            text=True,
+        )
+        assert (result.returncode, result.stderr) == (0, "True\n")
+        assert result.stdout == '[[],["u"],["u","v"]]\n'
 
 
 class TestBadAngles:
@@ -416,8 +471,6 @@ class TestParserReuse:
         """Well-formed runs build no parser; help and errors share one."""
         import argparse
 
-        from prim_lattice import cli
-
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -457,17 +510,32 @@ def _fresh_modules(code: str) -> set:
     return set(ast.literal_eval(result.stdout.splitlines()[-1]))
 
 
+# runs the CLI as ``python -m prim_lattice.cli`` does and, at exit, writes
+# every module the process holds, however it was imported, as the last
+# line of stderr
+_MODULES_AT_EXIT = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: print(sorted(sys.modules), file=sys.stderr))\n"
+    "runpy.run_module('prim_lattice.cli', run_name='__main__', alter_sys=True)\n"
+)
+
+
 def _imports(*argv):
-    """A ``python -m prim_lattice.cli`` run and the names it imported."""
+    """A ``python -S -m prim_lattice.cli`` run and the modules it loaded.
+
+    ``-S`` leaves out ``site``, whose imports vary from host to host, so
+    the package is found through ``PYTHONPATH`` alone.
+    """
+    package_root = os.path.dirname(os.path.dirname(prim_lattice.__file__))
     result = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "prim_lattice.cli", *argv],
+        [sys.executable, "-S", "-c", _MODULES_AT_EXIT, *argv],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=package_root),
     )
-    # -X importtime writes one "import time: self | cumulative | name" line
-    # per import statement (not per importlib.import_module call)
-    imported = {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines()}
-    return result, imported
+    *lines, modules = result.stderr.splitlines(keepends=True)
+    result.stderr = "".join(lines)
+    return result, set(ast.literal_eval(modules))
 
 
 LOOP_PAIR = '{"H":[],"U":[{"cycle":["a"],"set":"empty"}]}'
@@ -521,6 +589,12 @@ class TestStartUp:
         assert result.returncode == 0 and result.stdout
         assert "prim_lattice.jsonio" in imported
         assert not imported & {"argparse", "gettext", "locale"}
+
+    @pytest.mark.parametrize("command", [*WELL_FORMED, "oracle"])
+    def test_runs_skip_typing(self, command):
+        result, imported = _imports(command, *WELL_FORMED.get(command, ["-g", G_FLOW]))
+        assert result.returncode == 0 and result.stdout
+        assert "typing" not in imported
 
     def test_argparse_reads_the_other_forms(self):
         result, imported = _imports("tails", "--graph=" + G_FLOW)
@@ -686,8 +760,6 @@ class TestOneCommandParser:
         ids=lambda argv: "_".join(a if len(a) < 20 else "G" for a in argv),
     )
     def test_same_as_the_full_parser(self, capsys, argv):
-        from prim_lattice import cli
-
         code, out, err = run(capsys, *argv)
         with pytest.raises(SystemExit) as done:
             cli.build_parser().parse_args(argv)
@@ -735,8 +807,6 @@ class TestClosedStdout:
 def _well_formed(command: str):
     """Every well-formed argument list for ``command``: each order of its
     flags, each spelling of each flag, each optional flag in or out."""
-    from prim_lattice import cli
-
     arguments = cli._arguments(command)
     required = [a for a in arguments if a[1].get("required")]
     optional = [a for a in arguments if not a[1].get("required")]
@@ -814,16 +884,12 @@ class TestCommandLineReader:
 
     @staticmethod
     def argparse_reads(argv):
-        from prim_lattice import cli
-
         try:
             return vars(cli.build_parser().parse_args(argv))
         except SystemExit:
             return None
 
     def test_reads_what_argparse_reads(self, capsys):
-        from prim_lattice import cli
-
         assert len(ACCEPTED) > 150
         for argv in ACCEPTED:
             read = cli._read_argv(argv)
@@ -831,8 +897,6 @@ class TestCommandLineReader:
             assert read == self.argparse_reads(argv), argv
 
     def test_leaves_the_rest_to_argparse(self, capsys):
-        from prim_lattice import cli
-
         assert len(DECLINED) > 200
         for argv in DECLINED:
             assert cli._read_argv(argv) is None, argv
@@ -840,8 +904,6 @@ class TestCommandLineReader:
     def test_argparse_runs_the_rest(self, capsys):
         """A declined list prints argparse's help or error, or, if argparse
         reads it, runs as the list spelt out in full would."""
-        from prim_lattice import cli
-
         respelt = 0
         for argv in DECLINED:
             expected = self.argparse_reads(argv)

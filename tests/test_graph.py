@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -318,6 +319,29 @@ class TestPathsAndCycles:
         assert cycle_from_edges(g, ["p", "q"]) == cycle_from_edges(g, ["q", "p"])
         assert cycle_from_edges(g, ["q", "p"]).edges == ("p", "q")
         assert Cycle(("q", "p")) == Cycle(("p", "q"))
+
+    def test_least_rotation_matches_every_rotation(self):
+        rng = random.Random(73)
+        for _ in range(400):
+            # small alphabets repeat ids, as a JSON cycle may
+            alphabet = [f"e{i}" for i in range(rng.randint(1, 6))]
+            ids = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 12)))
+            least = min(ids[i:] + ids[:i] for i in range(len(ids)))
+            assert Cycle(ids).edges == least
+
+    def test_long_ring_normalises_in_linear_memory(self):
+        # sized so that building every rotation fails the bound (about
+        # 130 MB) without exhausting memory, as it would at 20 000 edges
+        ids = tuple(f"e{(7 * i + 3) % 4_000:04d}" for i in range(4_000))
+        tracemalloc.start()
+        try:
+            edges = Cycle(ids).edges
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert edges[0] == "e0000" and sorted(edges) == sorted(ids)
+        # one rotation is 32 kB
+        assert peak < 1_000_000
 
     def test_cycle_geometry(self):
         g = self._two_cycle()

@@ -443,6 +443,50 @@ class TestHull:
                         assert inside == closure_contains(g, prims, PrimitiveIdeal(tail, angle))
 
 
+@pytest.fixture(scope="module")
+def law_triples():
+    """Seeded triples of ideal pairs on random graphs of up to 10 vertices.
+
+    Each graph's pool holds random pairs and both extremes, so some
+    triples share or cover each other's cycles.
+    """
+    rng = random.Random(7070)
+    triples = []
+    for _ in range(100):
+        g = random_graph(rng, max_vertices=10, max_edges=20)
+        pool = [random_ideal_pair(rng, g) for _ in range(4)]
+        pool += [zero_ideal(g), improper_ideal(g)]
+        triples += [(g, *(rng.choice(pool) for _ in range(3))) for _ in range(6)]
+    return triples
+
+
+class TestLatticeLaws:
+    """The ideal lattice is the lattice of open sets of Prim, so it is a
+    distributive lattice: its laws hold as equalities of canonical pairs."""
+
+    def test_distributive(self, law_triples):
+        for g, x, y, z in law_triples:
+            assert pair_meet(g, [x, pair_join(g, [y, z])]) == pair_join(
+                g, [pair_meet(g, [x, y]), pair_meet(g, [x, z])]
+            )
+            assert pair_join(g, [x, pair_meet(g, [y, z])]) == pair_meet(
+                g, [pair_join(g, [x, y]), pair_join(g, [x, z])]
+            )
+
+    def test_absorption_and_idempotence(self, law_triples):
+        for g, x, y, _ in law_triples:
+            assert pair_meet(g, [x, pair_join(g, [x, y])]) == x
+            assert pair_join(g, [x, pair_meet(g, [x, y])]) == x
+            assert pair_meet(g, [x, x]) == x == pair_join(g, [x, x])
+
+    def test_families_ignore_order_and_grouping(self, law_triples):
+        for g, x, y, z in law_triples:
+            for op in (pair_meet, pair_join):
+                whole = op(g, [x, y, z])
+                assert op(g, [z, x, y]) == op(g, [y, z, x]) == whole
+                assert op(g, [op(g, [x, y]), z]) == op(g, [x, op(g, [y, z])]) == whole
+
+
 class TestMeetOfPrimitives:
     def test_singleton(self):
         prim = PrimitiveIdeal(FLOW_SMALL, F(1, 3))
