@@ -25,22 +25,23 @@ from collections.abc import Iterable
 from fractions import Fraction
 from operator import le, lt
 
+from .errors import GraphAlgebraError, excerpt
 from .record import Record, set_field
 
 Angle = Fraction
 
 ONE = Fraction(1)
 
-# what ``Fraction`` raises for ``"1/0"`` and for infinite floats
-_NOT_FINITE = (ZeroDivisionError, OverflowError)
+# what ``Fraction`` raises for a bad or overlong literal, ``"1/0"`` and infinity
+_NOT_RATIONAL = (ValueError, ZeroDivisionError, OverflowError)
 
 
 def as_angle(value) -> Fraction:
     """Coerce a fraction, integer or ``p/q`` string onto the circle."""
     try:
         return Fraction(value) % 1
-    except _NOT_FINITE as err:
-        raise ValueError(f"angle {value} is not a finite rational") from err
+    except _NOT_RATIONAL as err:
+        raise GraphAlgebraError(f"angle {excerpt(str(value))} is not a finite rational") from err
 
 
 def format_angle(angle: Fraction) -> str:
@@ -55,14 +56,13 @@ def _checked(raw, kind: str, joins) -> list | None:
     for a, b in raw:
         try:
             a, b = Fraction(a), Fraction(b)
-        except _NOT_FINITE as err:
-            raise ValueError(
-                f"{kind} arc ({a}, {b}) has an endpoint that is not a finite rational"
-            ) from err
+        except _NOT_RATIONAL as err:
+            fault = "has an endpoint that is not a finite rational"
+            raise GraphAlgebraError(f"{kind} arc {excerpt(f'({a}, {b})')} {fault}") from err
         length = b - a
         if not joins(0, length):
             fault = "has no interior" if kind == "open" else "runs backwards"
-            raise ValueError(f"{kind} arc ({a}, {b}) {fault}")
+            raise GraphAlgebraError(f"{kind} arc {excerpt(f'({a}, {b})')} {fault}")
         if joins(1, length):
             return None
         start = a % 1

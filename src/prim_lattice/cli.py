@@ -3,10 +3,10 @@
 Every data flag takes a file path, ``@-`` for standard input, or inline
 JSON (anything starting with ``{``, ``[`` or ``"``).  Output is one
 canonical JSON document on stdout; diagnostics go to stderr.  Exit
-codes: 0 success, 1 domain error, 2 usage error, 3 oracle mismatch,
-4 internal error (a bug in this package; its traceback goes to stderr),
-141 (128 + SIGPIPE) stdout closed before the output was written, with
-nothing on stderr.
+codes: 0 success, 1 domain error (a GraphAlgebraError, nothing else), 2
+usage error, 3 oracle mismatch, 4 internal error (a bug in this package,
+any other ValueError included; its traceback goes to stderr), 141 (128 +
+SIGPIPE) stdout closed before the output was written, nothing on stderr.
 
 A run loads only what its command uses.  A well-formed command line is
 read straight from the command table and never imports ``argparse``
@@ -320,7 +320,7 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (GraphAlgebraError, ValueError) as err:
+    except GraphAlgebraError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except Exception:

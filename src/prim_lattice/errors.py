@@ -6,8 +6,8 @@ def excerpt(text: str) -> str:
     return text if len(text) <= 120 else text[:117] + "..."
 
 
-class GraphAlgebraError(Exception):
-    """Base class for every domain error raised by this package."""
+class GraphAlgebraError(ValueError):
+    """Base class for every domain error raised by this package: bad input."""
 
 
 class EmptyGraphError(GraphAlgebraError):

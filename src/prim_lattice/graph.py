@@ -28,6 +28,7 @@ from functools import total_ordering
 from .errors import (
     DanglingEndpointError,
     EmptyGraphError,
+    GraphAlgebraError,
     NotACycleError,
     SourceVertexError,
     UnknownVertexError,
@@ -59,7 +60,7 @@ class DirectedGraph:
         table = {}
         for eid, src, rng in sorted(rows):
             if eid in table:
-                raise ValueError(f"duplicate edge id {excerpt(repr(eid))}")
+                raise GraphAlgebraError(f"duplicate edge id {excerpt(repr(eid))}")
             table[eid] = (src, rng)
         self.edges = table
         ins = {v: [] for v in self.vertices}
@@ -272,7 +273,7 @@ class Cycle(Record):
     def __init__(self, edges: tuple[str, ...]):
         ids = tuple(edges)
         if not ids:
-            raise ValueError("a cycle has at least one edge")
+            raise NotACycleError("a cycle has at least one edge")
         # the least rotation starts at the least id, which a real cycle
         # holds once; build only the rotations that start there
         least = min(ids)
@@ -289,7 +290,7 @@ class Cycle(Record):
 
 
 def cycle_from_edges(graph: DirectedGraph, edge_ids: Iterable[str]) -> Cycle:
-    """Validate an edge sequence as a cycle of ``graph`` and canonicalise it."""
+    """Validate an edge sequence as a cycle of ``graph``, then canonicalise it: O(n)."""
     ids = tuple(str(e) for e in edge_ids)
     if not ids:
         raise NotACycleError("a cycle has at least one edge")
@@ -299,10 +300,10 @@ def cycle_from_edges(graph: DirectedGraph, edge_ids: Iterable[str]) -> Cycle:
     for i in range(len(ids)):
         follower = ids[(i + 1) % len(ids)]
         if graph.src(ids[i]) != graph.rng(follower):
-            raise NotACycleError("edges do not close up into a cycle")
+            raise NotACycleError(f"edges {excerpt(str(list(ids)))} do not close up into a cycle")
     sources = [graph.src(e) for e in ids]
     if len(set(sources)) != len(sources):
-        raise NotACycleError("cycle revisits a vertex")
+        raise NotACycleError(f"cycle {excerpt(str(list(ids)))} revisits a vertex")
     return Cycle(ids)
 
 

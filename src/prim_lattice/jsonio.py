@@ -10,9 +10,10 @@ and angles fraction strings or integers.
 from __future__ import annotations
 
 import json
+import re
 
-from .errors import MalformedHullError, NotAMaximalTailError, excerpt
-from .graph import Cycle, DirectedGraph
+from .errors import GraphAlgebraError, MalformedHullError, NotAMaximalTailError, excerpt
+from .graph import DirectedGraph, cycle_from_edges
 
 # circle, lattice and tails are imported by the codecs that use them, so
 # reading and writing a graph loads none of them (nor ``fractions``);
@@ -30,28 +31,36 @@ def canonical_dumps(value) -> str:
 
 def _array(value, what: str) -> list:
     if not isinstance(value, list):
-        raise ValueError(f"{what} must be a JSON array, not {type(value).__name__}")
+        raise GraphAlgebraError(f"{what} must be a JSON array, not {type(value).__name__}")
     return value
 
 
 def _ids(value, what: str) -> list:
     for item in _array(value, what):
         if not isinstance(item, str):
-            raise ValueError(f"{what} holds {excerpt(repr(item))}, but ids must be JSON strings")
+            shown = excerpt(repr(item))
+            raise GraphAlgebraError(f"{what} holds {shown}, but ids must be JSON strings")
     return value
+
+
+# 4000 digits a number keep derived endpoints below Python's 4300-digit print limit
+_FRACTION = re.compile(r"-?[0-9]{1,4000}(?:/[0-9]{1,4000})?")
 
 
 def _angle(value, what: str = "angle"):
-    if isinstance(value, bool) or not isinstance(value, (str, int)):
-        raise ValueError(f"{what} {excerpt(repr(value))} must be a fraction string or an integer")
-    return value
+    if type(value) is int or isinstance(value, str) and _FRACTION.fullmatch(value):
+        return value
+    form = " (as '-1/2' or '3', at most 4000 digits a number)" if isinstance(value, str) else ""
+    shown = excerpt(repr(value))
+    raise GraphAlgebraError(f"{what} {shown} must be a fraction string or an integer{form}")
 
 
 def _arcs(value, kind: str) -> list:
     arcs = []
     for arc in _array(value, f"{kind} arcs"):
-        a, b = _array(arc, f"{kind} arc")
-        arcs.append((_angle(a, f"{kind} arc endpoint"), _angle(b, f"{kind} arc endpoint")))
+        if len(_array(arc, f"{kind} arc")) != 2:
+            raise GraphAlgebraError(f"{kind} arc {excerpt(repr(arc))} must have two endpoints")
+        arcs.append(tuple(_angle(end, f"{kind} arc endpoint") for end in arc))
     return arcs
 
 
@@ -67,18 +76,20 @@ def graph_to_json(graph: DirectedGraph) -> dict:
 
 def graph_from_json(data) -> DirectedGraph:
     if not isinstance(data, dict):
-        raise ValueError("graph JSON must be an object")
+        raise GraphAlgebraError("graph JSON must be an object")
     edges = data.get("edges", [])
     if not isinstance(edges, list) or not all(
         isinstance(entry, dict) and {"id", "src", "rng"} <= entry.keys() for entry in edges
     ):
-        raise ValueError("'edges' must be an array of objects with 'id', 'src' and 'rng' fields")
+        raise GraphAlgebraError(
+            "'edges' must be an array of objects with 'id', 'src' and 'rng' fields"
+        )
     rows = [_ids([entry["id"], entry["src"], entry["rng"]], "an edge") for entry in edges]
     vertices = _ids(data.get("vertices", []), "'vertices'")
     seen = set()
     for v in vertices:
         if v in seen:
-            raise ValueError(f"duplicate vertex id {excerpt(repr(v))}")
+            raise GraphAlgebraError(f"duplicate vertex id {excerpt(repr(v))}")
         seen.add(v)
     return DirectedGraph(vertices, rows)
 
@@ -101,7 +112,7 @@ def open_set_from_json(data) -> OpenCircleSet:
     if data == "empty":
         return OpenCircleSet.empty()
     if not isinstance(data, list):
-        raise ValueError("open circle set JSON must be 'full', 'empty' or arcs")
+        raise GraphAlgebraError("open circle set JSON must be 'full', 'empty' or arcs")
     return OpenCircleSet.from_arcs(_arcs(data, "open"))
 
 
@@ -126,9 +137,7 @@ def closed_set_from_json(data) -> ClosedCircleSet:
     if data == "empty":
         return ClosedCircleSet.empty()
     if not isinstance(data, dict):
-        raise ValueError(
-            "closed circle set JSON must be 'full', 'empty' or an object"
-        )
+        raise GraphAlgebraError("closed circle set JSON must be 'full', 'empty' or an object")
     arcs = tuple(_arcs(data.get("arcs", []), "closed"))
     points = tuple(_angle(p) for p in _array(data.get("points", []), "'points'"))
     return ClosedCircleSet(arcs, points)
@@ -147,26 +156,26 @@ def tail_from_json(graph: DirectedGraph, data) -> MaximalTail:
     from .tails import classify_tail
 
     if not isinstance(data, dict) or "vertices" not in data:
-        raise ValueError("a maximal tail must be an object with a 'vertices' field")
+        raise GraphAlgebraError("a maximal tail must be an object with a 'vertices' field")
     tail = classify_tail(graph, _ids(data["vertices"], "a tail's 'vertices'"))
     shown = excerpt(str(data["vertices"]))
     declared_kind = data.get("kind")
     if declared_kind is not None and declared_kind != tail.kind:
         kind = excerpt(str(declared_kind))
-        raise ValueError(f"tail {shown} is {tail.kind}, not {kind}")
+        raise GraphAlgebraError(f"tail {shown} is {tail.kind}, not {kind}")
     declared_cycle = data.get("cycle")
-    if declared_cycle is not None and Cycle(
-        tuple(_ids(declared_cycle, "a tail's 'cycle'"))
+    if declared_cycle is not None and cycle_from_edges(
+        graph, _ids(declared_cycle, "a tail's 'cycle'")
     ) != tail.cycle:
-        raise ValueError(f"tail {shown} has cycle {tail.cycle}")
+        raise GraphAlgebraError(f"tail {shown} has cycle {tail.cycle}")
     declared_period = data.get("period")
     if declared_period is None:
         return tail
     if isinstance(declared_period, bool) or not isinstance(declared_period, int):
         period = excerpt(repr(declared_period))
-        raise ValueError(f"a tail's 'period' {period} must be a JSON integer")
+        raise GraphAlgebraError(f"a tail's 'period' {period} must be a JSON integer")
     if declared_period != tail.period:
-        raise ValueError(f"tail {shown} has period {tail.period}")
+        raise GraphAlgebraError(f"tail {shown} has period {tail.period}")
     return tail
 
 
@@ -180,9 +189,7 @@ def prim_from_json(graph: DirectedGraph, data) -> PrimitiveIdeal:
     from .lattice import PrimitiveIdeal
 
     if not isinstance(data, dict) or not {"tail", "z"} <= data.keys():
-        raise ValueError(
-            "a primitive ideal must be an object with 'tail' and 'z' fields"
-        )
+        raise GraphAlgebraError("a primitive ideal must be an object with 'tail' and 'z' fields")
     return PrimitiveIdeal(tail_from_json(graph, data["tail"]), _angle(data["z"]))
 
 
@@ -204,11 +211,11 @@ def pair_from_json(graph: DirectedGraph, data) -> IdealPair:
     from .lattice import ideal_pair
 
     if not isinstance(data, dict):
-        raise ValueError("an ideal pair must be an object with 'H' and 'U' fields")
+        raise GraphAlgebraError("an ideal pair must be an object with 'H' and 'U' fields")
     assignment = []
     for entry in _array(data.get("U", []), "'U'"):
         if not isinstance(entry, dict) or not {"cycle", "set"} <= entry.keys():
-            raise ValueError(
+            raise GraphAlgebraError(
                 "each 'U' entry must be an object with 'cycle' and 'set' fields"
             )
         cycle = tuple(_ids(entry["cycle"], "a 'U' entry's 'cycle'"))

@@ -14,14 +14,17 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 from .circle import ClosedCircleSet, OpenCircleSet, as_angle, finite_closed_set, punctured_circle
-from .errors import InternalInvariantViolation, MalformedHullError, NotAMaximalTailError
+from .errors import (
+    GraphAlgebraError, InternalInvariantViolation, MalformedHullError, NotAMaximalTailError,
+    excerpt,
+)
 from .graph import (
     Cycle,
     DirectedGraph,
     _saturation_fixpoint,
     _vertex_subset,
     cycle_base,
-    entrance_free_cycles,
+    cycle_from_edges,
     is_saturated_hereditary,
     saturated_hereditary_closure,
 )
@@ -48,7 +51,7 @@ class PrimitiveIdeal(Record):
     def __init__(self, tail: MaximalTail, angle: Fraction):
         theta = as_angle(angle)
         if not tail.is_cyclic and theta != 0:
-            raise ValueError("an aperiodic tail admits only the angle-zero ideal")
+            raise GraphAlgebraError("an aperiodic tail admits only the angle-zero ideal")
         set_field(self, "tail", tail)
         set_field(self, "angle", theta)
 
@@ -62,7 +65,7 @@ class IdealPair(Record):
     stored sorted by cycle for canonical equality.  Build instances from
     outside input with :func:`ideal_pair`, which validates against a
     graph; the operations below build their results directly, in the
-    sorted cycle order that :func:`entrance_free_cycles` returns.
+    sorted cycle order that :func:`.tails.cycles_outside` returns.
     """
 
     __slots__ = ("vertices", "cycle_sets")
@@ -88,33 +91,32 @@ class IdealPair(Record):
 def ideal_pair(graph: DirectedGraph, vertices: Iterable, assignment) -> IdealPair:
     """Validate and canonicalise an ideal pair for ``graph``.
 
-    ``assignment`` maps cycles (or edge-id sequences) to open circle
-    sets; its keys must be exactly the entrance-free cycles of the
-    complement of ``vertices`` and its values must be proper.
+    ``assignment`` maps cycles, or edge-id sequences that must be cycles
+    of ``graph``, to open circle sets; its keys must be exactly the
+    entrance-free cycles of the complement of ``vertices``, its values proper.
     """
     inside = _vertex_subset(graph, vertices)
     if not is_saturated_hereditary(graph, inside):
-        raise ValueError(f"{sorted(inside)} is not saturated hereditary")
+        raise GraphAlgebraError(f"{excerpt(str(sorted(inside)))} is not saturated hereditary")
     keyed = {}
     items = assignment.items() if isinstance(assignment, dict) else assignment
     for cycle, value in items:
         if not isinstance(cycle, Cycle):
-            cycle = Cycle(tuple(cycle))
+            cycle = cycle_from_edges(graph, cycle)
         if cycle in keyed:
-            raise ValueError(f"cycle {cycle.edges} assigned twice")
+            raise GraphAlgebraError(f"cycle {excerpt(str(cycle.edges))} assigned twice")
         keyed[cycle] = value
     expected = cycles_outside(graph, inside)
     if set(keyed) != set(expected):
-        raise ValueError(
-            "assignment keys must be exactly the entrance-free cycles "
-            f"of the complement: expected {[c.edges for c in expected]}, "
-            f"got {[c.edges for c in keyed]}"
+        shown = excerpt(f"expected {[c.edges for c in expected]}, got {[c.edges for c in keyed]}")
+        raise GraphAlgebraError(
+            f"assignment keys must be exactly the entrance-free cycles of the complement: {shown}"
         )
     for cycle, value in keyed.items():
         if not isinstance(value, OpenCircleSet):
-            raise ValueError(f"cycle {cycle.edges} needs an open circle set")
+            raise GraphAlgebraError(f"cycle {excerpt(str(cycle.edges))} needs an open circle set")
         if not value.is_proper():
-            raise ValueError(f"cycle {cycle.edges} carries the full circle")
+            raise GraphAlgebraError(f"cycle {excerpt(str(cycle.edges))} carries the full circle")
     ordered = tuple(sorted(keyed.items(), key=lambda kv: kv[0].edges))
     return IdealPair(inside, ordered)
 
@@ -132,9 +134,8 @@ def improper_ideal(graph: DirectedGraph) -> IdealPair:
 
 def gauge_ideal(graph: DirectedGraph, vertices: Iterable) -> IdealPair:
     """The gauge-invariant ideal generated by a saturated hereditary set."""
-    inside = frozenset(vertices)
-    # an unknown vertex drops out of the complement here; ideal_pair rejects it
-    cycles = entrance_free_cycles(graph, frozenset(graph.vertices) - inside)
+    inside = _vertex_subset(graph, vertices)
+    cycles = cycles_outside(graph, inside)
     return ideal_pair(graph, inside, {c: OpenCircleSet.empty() for c in cycles})
 
 
@@ -216,7 +217,7 @@ def pair_meet(graph: DirectedGraph, pairs: Sequence[IdealPair]) -> IdealPair:
     needed here.
     """
     if not pairs:
-        raise ValueError("meet of an empty family is not defined")
+        raise GraphAlgebraError("meet of an empty family is not defined")
     met = frozenset(graph.vertices).intersection(*(pair.vertices for pair in pairs))
     cycle_sets = []
     for cycle in cycles_outside(graph, met):
@@ -241,7 +242,7 @@ def pair_join(graph: DirectedGraph, pairs: Sequence[IdealPair]) -> IdealPair:
     again.  On the surviving cycles the sets union up and stay proper.
     """
     if not pairs:
-        raise ValueError("join of an empty family is not defined")
+        raise GraphAlgebraError("join of an empty family is not defined")
     pooled = frozenset().union(*(pair.vertices for pair in pairs))
     # a union of saturated hereditary sets is hereditary: only saturate it
     base = _saturation_fixpoint(graph, pooled)
@@ -395,7 +396,5 @@ def hull_to_pair(graph: DirectedGraph, shape: Hull) -> IdealPair:
 def meet_of_primitives(
     graph: DirectedGraph, prims: Sequence[PrimitiveIdeal]
 ) -> IdealPair:
-    """The intersection of finitely many primitive ideals."""
-    if not prims:
-        raise ValueError("meet of an empty family is not defined")
+    """The intersection of finitely many primitive ideals (see :func:`pair_meet`)."""
     return pair_meet(graph, [prim_to_pair(graph, prim) for prim in prims])

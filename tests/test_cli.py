@@ -675,13 +675,15 @@ class TestInternalErrors:
         [
             ("pair_meet", ("meet", "-g", G_LOOP, "-P", "[]"), TypeError),
             ("hull", ("hull", "-g", G_LOOP, "-p", '{"H":[],"U":[{"cycle":["a"],"set":"empty"}]}'), KeyError),
+            # a ValueError from package code is a bug too: only GraphAlgebraError is bad input
+            ("hull", ("hull", "-g", G_LOOP, "-p", '{"H":[],"U":[{"cycle":["a"],"set":"empty"}]}'), ValueError),
             (
                 "hull",
                 ("hull", "-g", G_LOOP, "-p", '{"H":[],"U":[{"cycle":["a"],"set":"empty"}]}'),
                 InternalInvariantViolation,
             ),
         ],
-        ids=["TypeError", "KeyError", "InternalInvariantViolation"],
+        ids=["TypeError", "KeyError", "ValueError", "InternalInvariantViolation"],
     )
     def test_bug_exits_four(self, capsys, monkeypatch, function, argv, error):
         # the CLI looks each operation up on its module when the command runs
