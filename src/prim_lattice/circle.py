@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from fractions import Fraction
-from operator import le, lt
+from operator import itemgetter, le, lt
 
 from .errors import GraphAlgebraError, excerpt
 from .record import Record, set_field
@@ -181,10 +181,7 @@ class OpenCircleSet(Record):
         return any(a < t < b for a, b in self.arcs for t in (theta, theta + 1))
 
     def union(self, other: "OpenCircleSet") -> "OpenCircleSet":
-        if self.is_full or other.is_full:
-            return OpenCircleSet.full()
-        # timsort takes the two sorted arc lists as runs
-        return OpenCircleSet._trusted(*_coalesce(sorted(self.arcs + other.arcs)))
+        return open_union((self, other))
 
     def intersect(self, other: "OpenCircleSet") -> "OpenCircleSet":
         if self.is_full:
@@ -317,6 +314,17 @@ class ClosedCircleSet(Record):
     def _pieces(self) -> list:
         """Arcs and points (as zero-length arcs) together, sorted by start."""
         return sorted(self.arcs + tuple((p, p) for p in self.points))
+
+
+def open_union(sets: Iterable[OpenCircleSet]) -> OpenCircleSet:
+    """The union of finitely many open sets, the empty set for none: one merge pass."""
+    arcs = []
+    for value in sets:
+        if value.is_full:
+            return OpenCircleSet.full()
+        arcs += value.arcs
+    # each set's arcs are a sorted run, and arcs that share a start merge in any order
+    return OpenCircleSet._trusted(*_coalesce(sorted(arcs, key=itemgetter(0))))
 
 
 def finite_closed_set(angles: Iterable) -> ClosedCircleSet:

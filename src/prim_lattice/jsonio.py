@@ -167,7 +167,8 @@ def tail_from_json(graph: DirectedGraph, data) -> MaximalTail:
     if declared_cycle is not None and cycle_from_edges(
         graph, _ids(declared_cycle, "a tail's 'cycle'")
     ) != tail.cycle:
-        raise GraphAlgebraError(f"tail {shown} has cycle {tail.cycle}")
+        own = None if tail.cycle is None else tail.cycle.edges
+        raise GraphAlgebraError(f"tail {shown} has cycle {excerpt(str(own))}")
     declared_period = data.get("period")
     if declared_period is None:
         return tail

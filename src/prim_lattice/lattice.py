@@ -12,8 +12,11 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from functools import reduce
 
-from .circle import ClosedCircleSet, OpenCircleSet, as_angle, finite_closed_set, punctured_circle
+from .circle import (
+    ClosedCircleSet, OpenCircleSet, as_angle, finite_closed_set, open_union, punctured_circle,
+)
 from .errors import (
     GraphAlgebraError, InternalInvariantViolation, MalformedHullError, NotAMaximalTailError,
     excerpt,
@@ -77,15 +80,6 @@ class IdealPair(Record):
     @property
     def assignment(self) -> dict:
         return dict(self.cycle_sets)
-
-    def open_set(self, cycle: Cycle) -> OpenCircleSet:
-        for key, value in self.cycle_sets:
-            if key == cycle:
-                return value
-        raise KeyError(cycle)
-
-    def constrains(self, cycle: Cycle) -> bool:
-        return any(key == cycle for key, _ in self.cycle_sets)
 
 
 def ideal_pair(graph: DirectedGraph, vertices: Iterable, assignment) -> IdealPair:
@@ -184,9 +178,10 @@ def as_primitive(graph: DirectedGraph, pair: IdealPair) -> PrimitiveIdeal | None
         return None
     if not tail.is_cyclic:
         return None if pair.cycle_sets else PrimitiveIdeal(tail, Fraction(0))
-    if not pair.constrains(tail.cycle):
+    value = pair.assignment.get(tail.cycle)
+    if value is None:
         return None
-    removed = pair.open_set(tail.cycle).complement()
+    removed = value.complement()
     if removed.arcs or len(removed.points) != 1:
         return None
     return PrimitiveIdeal(tail, removed.points[0])
@@ -200,11 +195,21 @@ def pair_leq(graph: DirectedGraph, left: IdealPair, right: IdealPair) -> bool:
     """
     if not left.vertices <= right.vertices:
         return False
+    bounds = {cycle.edges: value for cycle, value in right.cycle_sets}
     for cycle, value in left.cycle_sets:
-        if right.constrains(cycle):
-            if not value.is_subset(right.open_set(cycle)):
-                return False
+        bound = bounds.get(cycle.edges)
+        if bound is not None and not value.is_subset(bound):
+            return False
     return True
+
+
+def _member_sets(pairs: Sequence[IdealPair]) -> dict:
+    """Each constrained cycle's edges mapped to its members' open sets, in member order."""
+    members = {}
+    for pair in pairs:
+        for cycle, value in pair.cycle_sets:
+            members.setdefault(cycle.edges, []).append(value)
+    return members
 
 
 def pair_meet(graph: DirectedGraph, pairs: Sequence[IdealPair]) -> IdealPair:
@@ -219,17 +224,15 @@ def pair_meet(graph: DirectedGraph, pairs: Sequence[IdealPair]) -> IdealPair:
     if not pairs:
         raise GraphAlgebraError("meet of an empty family is not defined")
     met = frozenset(graph.vertices).intersection(*(pair.vertices for pair in pairs))
+    members = _member_sets(pairs)
     cycle_sets = []
     for cycle in cycles_outside(graph, met):
-        members = [pair for pair in pairs if pair.constrains(cycle)]
-        if not members:
+        values = members.get(cycle.edges)
+        if not values:
             raise InternalInvariantViolation(
                 f"no member constrains cycle {cycle.edges} in a finite meet"
             )
-        value = members[0].open_set(cycle)
-        for member in members[1:]:
-            value = value.intersect(member.open_set(cycle))
-        cycle_sets.append((cycle, value))
+        cycle_sets.append((cycle, reduce(OpenCircleSet.intersect, values)))
     return IdealPair(met, tuple(cycle_sets))
 
 
@@ -246,28 +249,19 @@ def pair_join(graph: DirectedGraph, pairs: Sequence[IdealPair]) -> IdealPair:
     pooled = frozenset().union(*(pair.vertices for pair in pairs))
     # a union of saturated hereditary sets is hereditary: only saturate it
     base = _saturation_fixpoint(graph, pooled)
-
-    def pooled_set(cycle: Cycle) -> OpenCircleSet:
-        value = OpenCircleSet.empty()
-        for pair in pairs:
-            if pair.constrains(cycle):
-                value = value.union(pair.open_set(cycle))
-        return value
-
-    promoted = set()
-    cycle_sets = []
-    for cycle in cycles_outside(graph, base):
-        value = pooled_set(cycle)
-        if value.is_full:
-            promoted.add(cycle_base(graph, cycle))
-        cycle_sets.append((cycle, value))
+    members = _member_sets(pairs)
+    cycle_sets = [(c, open_union(members.get(c.edges, ()))) for c in cycles_outside(graph, base)]
+    promoted = {cycle_base(graph, cycle) for cycle, value in cycle_sets if value.is_full}
     if not promoted:
         # nothing moved: the closure of ``base`` is ``base`` with the same cycles
         return IdealPair(base, tuple(cycle_sets))
     joined = saturated_hereditary_closure(graph, base | promoted)
+    # each cycle's union is taken once: the pass above kept it
+    unions = {cycle.edges: value for cycle, value in cycle_sets}
     cycle_sets = []
     for cycle in cycles_outside(graph, joined):
-        value = pooled_set(cycle)
+        key = cycle.edges
+        value = unions[key] if key in unions else open_union(members.get(key, ()))
         if value.is_full:
             raise InternalInvariantViolation(
                 f"cycle {cycle.edges} kept a full circle set after promotion"
@@ -282,12 +276,12 @@ def contained_in_prim(graph: DirectedGraph, pair: IdealPair, prim: PrimitiveIdea
     The vertex set must avoid the tail, and if the tail is cyclic with
     its cycle constrained by ``pair``, the point must avoid that set.
     """
-    if pair.vertices & prim.tail.vertices:
-        return False
     tail = prim.tail
-    if tail.is_cyclic and pair.constrains(tail.cycle):
-        return not pair.open_set(tail.cycle).contains(prim.angle)
-    return True
+    if not pair.vertices.isdisjoint(tail.vertices):
+        return False
+    # an aperiodic tail has no cycle, so no key matches
+    key = tail.cycle.edges if tail.is_cyclic else None
+    return not any(c.edges == key and value.contains(prim.angle) for c, value in pair.cycle_sets)
 
 
 def closure_contains(
@@ -300,19 +294,15 @@ def closure_contains(
     union, the target point must lie in the closure of the points
     attached to the same tail.
     """
-    covered = frozenset()
-    for prim in prims:
-        covered |= prim.tail.vertices
-    if not target.tail.vertices <= covered:
-        return False
+    covered = frozenset().union(*(prim.tail.vertices for prim in prims))
     tail = target.tail
+    if not tail.vertices <= covered:
+        return False
     # the tail lies in ``covered``, so its cycle is entrance-free there
     # exactly when none of the cycle's entries is covered
     if tail.is_cyclic and cycle_index(graph).entries[tail.cycle].isdisjoint(covered):
-        points = finite_closed_set(
-            prim.angle for prim in prims if prim.tail == tail
-        )
-        return points.contains(target.angle)
+        # finitely many points are their own closure, and angles are canonical
+        return any(prim.angle == target.angle and prim.tail == tail for prim in prims)
     return True
 
 
@@ -342,14 +332,15 @@ class Hull(Record):
 
 def hull(graph: DirectedGraph, pair: IdealPair) -> Hull:
     """The hull of an ideal: every primitive ideal containing it."""
+    sets = pair.assignment
     entries = []
     for tail in enumerate_maximal_tails(graph):
         if tail.vertices & pair.vertices:
             continue
         if not tail.is_cyclic:
             allowed = finite_closed_set([Fraction(0)])
-        elif pair.constrains(tail.cycle):
-            allowed = pair.open_set(tail.cycle).complement()
+        elif tail.cycle in sets:
+            allowed = sets[tail.cycle].complement()
         else:
             allowed = ClosedCircleSet.full()
         entries.append(HullEntry(tail, allowed))

@@ -135,13 +135,30 @@ def brute_saturated_hereditary(graph: DirectedGraph) -> list[frozenset]:
     return results
 
 
+def _broken_distributive_laws(graph: DirectedGraph, family) -> list[str]:
+    """The distributive laws that fail on three pairs, each taking the outer place in turn."""
+    broken = []
+    for a, b, c in (family, family[1:] + family[:1], family[2:] + family[:2]):
+        for outer, inner, law in (
+            (pair_meet, pair_join, "meet over join"), (pair_join, pair_meet, "join over meet")
+        ):
+            left = outer(graph, [a, inner(graph, [b, c])])
+            right = inner(graph, [outer(graph, [a, b]), outer(graph, [a, c])])
+            if not (pair_leq(graph, left, right) and pair_leq(graph, right, left)):
+                broken.append(f"distributive law {law} fails")
+    return broken
+
+
 def check_lattice_laws(graph: DirectedGraph, sample: list[IdealPair]) -> OracleReport:
-    """Bound and extremality checks for meets and joins over a sample.
+    """Bound, extremality and distributivity checks over a sample.
 
     Every multiset of up to three pairs drawn from ``sample`` is met and
     joined; the results must bound the family and must be extremal among
-    the sample, all judged through the order relation alone.  Tripwire
-    errors are recorded as mismatches rather than raised.
+    the sample, and each of three must obey both distributive laws (the
+    lattice is that of the open sets of Prim), all judged through the
+    order relation alone.  A family counts one check, and one more for
+    its distributive laws.  Tripwire errors are recorded as mismatches
+    rather than raised, and their family counts no check.
     """
     report = OracleReport()
     families = []
@@ -152,9 +169,12 @@ def check_lattice_laws(graph: DirectedGraph, sample: list[IdealPair]) -> OracleR
         try:
             met = pair_meet(graph, list(family))
             joined = pair_join(graph, list(family))
+            broken = _broken_distributive_laws(graph, family) if len(family) == 3 else []
         except (GraphAlgebraError, InternalInvariantViolation) as err:
             report.record(f"tripwire on {label}: {err}")
             continue
+        for law in broken:
+            report.record(f"{law} on {label}")
         for pair in family:
             if not pair_leq(graph, met, pair):
                 report.record(f"meet of {label} is not a lower bound")
@@ -171,7 +191,7 @@ def check_lattice_laws(graph: DirectedGraph, sample: list[IdealPair]) -> OracleR
                     report.record(
                         f"join of {label} misses a smaller upper bound"
                     )
-        report.checked += 1
+        report.checked += 2 if len(family) == 3 else 1
     return report
 
 

@@ -239,6 +239,14 @@ class TestBoundedEcho:
     LONG_LOOP = '{"vertices":["%s"],"edges":[{"id":"a","src":"%s","rng":"%s"}]}' % (LONG, LONG, LONG)
     FULL_LONG = '{"H":["%s"]}' % LONG
     LONG_PRIM = '{"tail":{"vertices":["%s"],%%s},"z":0}' % LONG
+    # a 150-edge ring and a separate loop "l", and a ring tail that declares "l" as its cycle
+    RING_IDS = [f"r{i}" for i in range(150)]
+    RING = json.dumps({
+        "vertices": RING_IDS + ["x"],
+        "edges": [{"id": f"e{i}", "src": f"r{i}", "rng": f"r{(i + 1) % 150}"} for i in range(150)]
+        + [{"id": "l", "src": "x", "rng": "x"}],
+    })
+    RING_PRIM = json.dumps({"tail": {"vertices": RING_IDS, "cycle": ["l"]}, "z": 0})
 
     @pytest.mark.parametrize(
         "argv, expected",
@@ -256,11 +264,12 @@ class TestBoundedEcho:
             (("contains", "-g", LONG_LOOP, "-p", FULL_LONG, "-r", LONG_PRIM % '"kind":"aperiodic"'), 1),
             (("contains", "-g", LONG_LOOP, "-p", FULL_LONG, "-r", LONG_PRIM % '"cycle":["b"]'), 1),
             (("contains", "-g", LONG_LOOP, "-p", FULL_LONG, "-r", LONG_PRIM % '"period":2'), 1),
+            (("closure", "-g", RING, "-X", "[%s]" % RING_PRIM, "-t", RING_PRIM), 1),
         ],
         ids=[
             "deep-argument", "long-path", "deep-H", "deep-angle", "deep-kind",
             "unknown-id", "source-vertex", "dangling-edge", "long-integer-graph", "long-integer-pair",
-            "tail-kind", "tail-cycle", "tail-period",
+            "tail-kind", "tail-cycle", "tail-period", "tail-own-cycle",
         ],
     )
     def test_one_short_line(self, capsys, argv, expected):

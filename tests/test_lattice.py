@@ -42,9 +42,11 @@ from prim_lattice import (
     pair_meet,
     prim_to_pair,
     punctured_circle,
+    random_angle,
     random_graph,
     random_ideal_pair,
     random_primitive,
+    random_proper_open_set,
     saturated_hereditary_closure,
     zero_ideal,
 )
@@ -62,6 +64,14 @@ FLOW_BIG = classify_tail(g_flow, {"u", "v"})
 
 def arcs(*pairs):
     return OpenCircleSet.from_arcs([(F(a), F(b)) for a, b in pairs])
+
+
+def _literal_set(pair, cycle):
+    """The open set ``pair`` gives ``cycle``, found by a linear scan, or ``None``."""
+    for key, value in pair.cycle_sets:
+        if key == cycle:
+            return value
+    return None
 
 
 def _corpus(seed, count=12):
@@ -116,8 +126,7 @@ class TestPairValidation:
 
     def test_edge_sequences_accepted_as_keys(self):
         p = ideal_pair(g_loop, [], {("a",): arcs((0, "1/2"))})
-        assert p.open_set(A) == arcs((0, "1/2"))
-        assert p.constrains(A) and not p.constrains(B)
+        assert p.assignment == {A: arcs((0, "1/2"))}
 
     def test_bounds(self):
         assert zero_ideal(g_flow).vertices == frozenset()
@@ -264,8 +273,8 @@ class TestMeetJoin:
         def pooled_set(cycle):
             value = OpenCircleSet.empty()
             for p in pairs:
-                if p.constrains(cycle):
-                    value = value.union(p.open_set(cycle))
+                if _literal_set(p, cycle) is not None:
+                    value = value.union(_literal_set(p, cycle))
             return value
 
         promoted = {
@@ -298,6 +307,110 @@ class TestMeetJoin:
             outcomes.add(promoted)
         # the seeded families exercise both branches
         assert outcomes == {False, True}
+
+    # Literal forms of the other order operations: a linear lookup per
+    # cycle, the general entrance-free cycle scan, and closure membership
+    # read off a finite closed set.
+
+    @staticmethod
+    def _literal_leq(g, left, right):
+        if not left.vertices <= right.vertices:
+            return False
+        for cycle, value in left.cycle_sets:
+            if _literal_set(right, cycle) is not None:
+                if not value.is_subset(_literal_set(right, cycle)):
+                    return False
+        return True
+
+    @staticmethod
+    def _literal_meet(g, pairs):
+        met = frozenset(g.vertices).intersection(*(p.vertices for p in pairs))
+        cycle_sets = []
+        for cycle in entrance_free_cycles(g, frozenset(g.vertices) - met):
+            members = [p for p in pairs if _literal_set(p, cycle) is not None]
+            value = _literal_set(members[0], cycle)
+            for member in members[1:]:
+                value = value.intersect(_literal_set(member, cycle))
+            cycle_sets.append((cycle, value))
+        return IdealPair(met, tuple(cycle_sets))
+
+    @staticmethod
+    def _literal_contained_in_prim(g, pair, prim):
+        if pair.vertices & prim.tail.vertices:
+            return False
+        tail = prim.tail
+        if tail.is_cyclic and _literal_set(pair, tail.cycle) is not None:
+            return not _literal_set(pair, tail.cycle).contains(prim.angle)
+        return True
+
+    @staticmethod
+    def _literal_closure_contains(g, prims, target):
+        covered = frozenset()
+        for prim in prims:
+            covered |= prim.tail.vertices
+        if not target.tail.vertices <= covered:
+            return False
+        tail = target.tail
+        if tail.is_cyclic and tail.cycle in entrance_free_cycles(g, covered):
+            points = finite_closed_set(prim.angle for prim in prims if prim.tail == tail)
+            return points.contains(target.angle)
+        return True
+
+    def test_order_operations_match_their_literal_forms(self):
+        # angles with denominators up to 4 make members' sets cover the
+        # circle (promotion) and primitives repeat their points
+        rng = random.Random(131)
+        seen = set()
+        for _ in range(60):
+            g = random_graph(rng, max_vertices=16, max_edges=32)
+            strata = enumerate_saturated_hereditary(g)
+            tails = enumerate_maximal_tails(g)
+
+            def pair():
+                h = rng.choice(strata)
+                cycles = entrance_free_cycles(g, frozenset(g.vertices) - h)
+                sets = {c: random_proper_open_set(rng, max_denominator=4) for c in cycles}
+                return ideal_pair(g, h, sets)
+
+            def prim():
+                tail = rng.choice(tails)
+                return PrimitiveIdeal(tail, random_angle(rng, 4) if tail.is_cyclic else 0)
+
+            sample = [pair() for _ in range(4)]
+            points = [prim() for _ in range(4)]
+            for _ in range(5):
+                family = [rng.choice(sample) for _ in range(rng.randint(1, 3))]
+                met, (joined, promoted) = pair_meet(g, family), self._two_pass_join(g, family)
+                assert met == self._literal_meet(g, family)
+                assert pair_join(g, family) == joined
+                seen.add(("promoted", promoted))
+                if any(_literal_set(p, c) is None for c, _ in met.cycle_sets for p in family):
+                    seen.add("a member leaves a cycle of the meet unconstrained")
+                for left in family + [met, joined]:
+                    for right in family + [met, joined]:
+                        leq = pair_leq(g, left, right)
+                        assert leq == self._literal_leq(g, left, right)
+                        seen.add(("leq", leq))
+                for p in family + [met, joined]:
+                    for point in points:
+                        inside = contained_in_prim(g, p, point)
+                        assert inside == self._literal_contained_in_prim(g, p, point)
+                        seen.add(("contained", inside))
+                chosen = [rng.choice(points) for _ in range(rng.randint(1, 4))]
+                for target in points + chosen:
+                    closed = closure_contains(g, chosen, target)
+                    assert closed == self._literal_closure_contains(g, chosen, target)
+                    seen.add(("closure", closed))
+                if len(set(chosen)) < len(chosen):
+                    seen.add("a point repeats")
+        assert seen == {
+            ("promoted", False), ("promoted", True),
+            "a member leaves a cycle of the meet unconstrained",
+            ("leq", False), ("leq", True),
+            ("contained", False), ("contained", True),
+            ("closure", False), ("closure", True),
+            "a point repeats",
+        }
 
     def test_bounds_and_extremality(self):
         rng, graphs = _corpus(seed=71)

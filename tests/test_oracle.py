@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 
@@ -105,6 +106,43 @@ class TestLawChecker:
         report = check_lattice_laws(g_flow, [zero_ideal(g_flow), improper_ideal(g_flow)])
         assert not report.passed and report.checked == 0
         assert all("tripwire" in m and "planted invariant break" in m for m in report.mismatches)
+
+    def test_counts_a_family_of_three_twice(self):
+        # families from a sample of 5: 5 singletons, 15 pairs and 35 triples
+        rng = random.Random(127)
+        report = check_lattice_laws(g_flow, [random_ideal_pair(rng, g_flow) for _ in range(5)])
+        assert report.passed and report.checked == 5 + 15 + 2 * 35
+
+    def test_non_distributive_lattice_is_flagged(self, monkeypatch):
+        # the diamond 0 < a, b, c < 1 is a lattice, so every bound and
+        # extremality check passes, but a meet (b join c) = a while
+        # (a meet b) join (a meet c) = 0
+        class Element:
+            def __init__(self, name):
+                self.vertices = frozenset([name])
+
+        bottom, a, b, c, top = map(Element, "0abc1")
+
+        def leq(graph, x, y):
+            return x is y or x is bottom or y is top
+
+        def meet(x, y):
+            return x if leq(None, x, y) else y if leq(None, y, x) else bottom
+
+        def join(x, y):
+            return y if leq(None, x, y) else x if leq(None, y, x) else top
+
+        monkeypatch.setattr(oracle_module, "pair_leq", leq)
+        monkeypatch.setattr(oracle_module, "pair_meet", lambda graph, family: reduce(meet, family))
+        monkeypatch.setattr(oracle_module, "pair_join", lambda graph, family: reduce(join, family))
+        report = check_lattice_laws(None, [bottom, a, b, c, top])
+        assert report.checked == 5 + 15 + 2 * 35
+        assert report.mismatches and all(
+            m.startswith("distributive law meet over join fails on ")
+            or m.startswith("distributive law join over meet fails on ")
+            for m in report.mismatches
+        )
+        assert "distributive law meet over join fails on [['a'], ['b'], ['c']]" in report.mismatches
 
 
 class TestClosureChecker:
