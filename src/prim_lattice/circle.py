@@ -30,8 +30,6 @@ from .record import Record, set_field
 
 Angle = Fraction
 
-ONE = Fraction(1)
-
 # what ``Fraction`` raises for a bad or overlong literal, ``"1/0"`` and infinity
 _NOT_RATIONAL = (ValueError, ZeroDivisionError, OverflowError)
 
@@ -111,6 +109,13 @@ def _turns(pieces):
     yield from pieces
     for lo, hi in pieces:
         yield lo + 1, hi + 1
+
+
+def _gaps(pieces):
+    """The gaps between canonical pieces, as ``(end, next start)``: each
+    piece's end with the next one's start, and the last end with the first
+    start plus one.  A gap may start past ``1``; the constructors reduce it."""
+    return zip([hi for _, hi in pieces], [lo for lo, _ in pieces[1:]] + [pieces[0][0] + 1])
 
 
 # a cover piece beyond every stored piece, standing in once a cover runs out
@@ -216,17 +221,10 @@ class OpenCircleSet(Record):
             return ClosedCircleSet.empty()
         if not self.arcs:
             return ClosedCircleSet.full()
-        arcs = []
-        points = []
-        count = len(self.arcs)
-        for i in range(count):
-            gap_start = self.arcs[i][1] % 1
-            gap_length = (self.arcs[(i + 1) % count][0] - gap_start) % 1
-            if gap_length == 0:
-                points.append(gap_start)
-            else:
-                arcs.append((gap_start, gap_start + gap_length))
-        return ClosedCircleSet(tuple(arcs), tuple(points))
+        # a gap between arcs that touch is the point they share
+        gaps = tuple(_gaps(self.arcs))
+        arcs = tuple(gap for gap in gaps if gap[0] != gap[1])
+        return ClosedCircleSet(arcs, tuple(a for a, b in gaps if a == b))
 
     def closure(self) -> "ClosedCircleSet":
         if self.is_full:
@@ -280,16 +278,9 @@ class ClosedCircleSet(Record):
         pieces = self._pieces()
         if not pieces:
             return OpenCircleSet.full()
-        arcs = []
-        count = len(pieces)
-        for i in range(count):
-            gap_start = pieces[i][1] % 1
-            gap_length = (pieces[(i + 1) % count][0] - gap_start) % 1
-            if gap_length == 0:
-                # only a lone point leaves a gap of full measure
-                gap_length = ONE
-            arcs.append((gap_start, gap_start + gap_length))
-        return OpenCircleSet(tuple(arcs))
+        # closed pieces never touch, so every gap is an arc: a lone point's
+        # gap runs a whole turn, which is the circle minus that point
+        return OpenCircleSet(tuple(_gaps(pieces)))
 
     def interior(self) -> OpenCircleSet:
         if self.is_full:

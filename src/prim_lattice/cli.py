@@ -16,16 +16,7 @@ to the argparse parser, which prints its own help, usage and errors.
 never import the circle arithmetic, the lattice module or
 ``fractions``, and only ``oracle`` imports the oracle.  No run imports
 ``typing``.  Error lines quote at most 120 characters of the input
-they echo.
-
-A process enters through :func:`run` (the ``prim-lattice`` console
-script and ``python -m prim_lattice.cli``), which calls :func:`main`,
-freezes the garbage collector and exits.  Interpreter shutdown then
-skips the collections that would walk every object of the run only to
-free them, about a tenth of a small request.  It does not end the
-process with ``os._exit``, which would save little more and would skip
-atexit handlers, ``python -m cProfile``'s report and coverage's data
-file.  In-process callers call :func:`main`, which never freezes.
+they echo.  A process enters through :func:`run`.
 """
 
 from __future__ import annotations
@@ -47,8 +38,8 @@ if TYPE_CHECKING:
     import argparse
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """A bad command line: exit 2.  A ValueError, so argparse reports a bad flag value."""
 
 
 def _load_json(argument: str):
@@ -73,8 +64,24 @@ def _load_json(argument: str):
         raise UsageError(f"invalid JSON in {excerpt(repr(argument))}: {err}") from err
 
 
+def count(text: str) -> int:
+    """An integer of at least 0, the type of ``--samples``."""
+    value = int(text)
+    if value < 0:
+        raise UsageError(f"{text!r} is negative")
+    return value
+
+
 def _set_label(vertices) -> str:
-    return "{" + ",".join(sorted(vertices)) + "}"
+    """A vertex set as ``{a,b}``, escaped for a quoted DOT id.  A member that
+    is empty, unprintable or holds one of ``,{}"\\`` is written as its JSON
+    string, so distinct sets get distinct labels."""
+    members = (
+        v if v.isprintable() and v and not set(v) & set(',{}"\\') else json.dumps(v)
+        for v in sorted(vertices)
+    )
+    label = "{" + ",".join(members) + "}"
+    return label.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def _gauge_lattice(graph, dot: bool):
@@ -87,55 +94,6 @@ def _gauge_lattice(graph, dot: bool):
         lines.append("}")
         return "\n".join(lines)
     return {"sets": [sorted(h) for h in sets], "covers": covers}
-
-
-def _agreement(fast: list, brute: list) -> dict:
-    """An oracle check that two sorted lists of vertex sets are equal."""
-    mismatches = []
-    if fast != brute:
-        mismatches.append({"fast": [sorted(s) for s in fast], "brute": [sorted(s) for s in brute]})
-    return {"pass": not mismatches, "checked": len(brute), "mismatches": mismatches}
-
-
-def _oracle(graph, seed: int, samples: int) -> dict:
-    # only this command needs the oracle, so other commands start without it
-    import random
-
-    from .oracle import (
-        OracleReport,
-        brute_maximal_tails,
-        brute_saturated_hereditary,
-        check_closure_coherence,
-        check_lattice_laws,
-        random_ideal_pair,
-        random_primitive,
-    )
-    from .tails import enumerate_maximal_tails
-
-    rng = random.Random(seed)
-    checks = {}
-
-    checks["tails"] = _agreement(
-        sorted(t.vertices for t in enumerate_maximal_tails(graph)),
-        sorted(brute_maximal_tails(graph)),
-    )
-    checks["saturated_hereditary"] = _agreement(
-        sorted(enumerate_saturated_hereditary(graph)),
-        sorted(brute_saturated_hereditary(graph)),
-    )
-
-    sample = [random_ideal_pair(rng, graph) for _ in range(samples)]
-    checks["lattice_laws"] = jsonio.report_to_json(check_lattice_laws(graph, sample))
-
-    coherence = OracleReport()
-    for _ in range(samples):
-        prims = [random_primitive(rng, graph) for _ in range(rng.randint(1, 3))]
-        report = check_closure_coherence(graph, prims)
-        coherence.checked += report.checked
-        coherence.mismatches.extend(report.mismatches)
-    checks["closure_coherence"] = jsonio.report_to_json(coherence)
-
-    return {"pass": all(entry["pass"] for entry in checks.values()), "checks": checks}
 
 
 def _module(name: str):
@@ -210,9 +168,9 @@ _COMMANDS = {
     ),
     "oracle": (
         "run the self-check oracles",
-        _oracle,
+        lambda g, seed, samples: _module("oracle").self_check(g, seed, samples),
         ("--seed", "random seed", {"type": int, "default": 0}),
-        ("--samples", "sample size per check", {"type": int, "default": 6}),
+        ("--samples", "sample size per check", {"type": count, "default": 6}),
     ),
 }
 
@@ -343,10 +301,15 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """The process entry point: :func:`main`, then exit with its code.
+    """The entry point of the ``prim-lattice`` console script and of
+    ``python -m prim_lattice.cli``: :func:`main`, then exit with its code.
 
-    The answer is written by then, so the collector is frozen first and
-    shutdown skips its collections (see the module docstring).
+    The answer is written by then, so the garbage collector is frozen
+    first, and interpreter shutdown skips the collections that would walk
+    every object of the run only to free them, about a tenth of a small
+    request.  ``os._exit`` would save little more, and would skip atexit
+    handlers, ``python -m cProfile``'s report and coverage's data file.
+    In-process callers call :func:`main`, which never freezes.
     """
     code = main()
     gc.freeze()

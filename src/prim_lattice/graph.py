@@ -292,8 +292,6 @@ class Cycle(Record):
 def cycle_from_edges(graph: DirectedGraph, edge_ids: Iterable[str]) -> Cycle:
     """Validate an edge sequence as a cycle of ``graph``, then canonicalise it: O(n)."""
     ids = tuple(str(e) for e in edge_ids)
-    if not ids:
-        raise NotACycleError("a cycle has at least one edge")
     for e in ids:
         if e not in graph.edges:
             raise NotACycleError(f"unknown edge {excerpt(repr(e))}")

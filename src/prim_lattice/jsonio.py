@@ -271,11 +271,3 @@ def hull_from_json(graph: DirectedGraph, data) -> Hull:
 
 def strata_to_json(strata) -> list:
     return [{"tail": tail_to_json(tail), "z": note} for tail, note in strata]
-
-
-def report_to_json(report) -> dict:
-    return {
-        "pass": report.passed,
-        "checked": report.checked,
-        "mismatches": list(report.mismatches),
-    }

@@ -58,8 +58,8 @@ class OracleReport(Record):
     def passed(self) -> bool:
         return not self.mismatches
 
-    def record(self, description: str) -> None:
-        self.mismatches.append(description)
+    def record(self, mismatch) -> None:
+        self.mismatches.append(mismatch)
 
 
 def _all_subsets(graph: DirectedGraph):
@@ -74,6 +74,14 @@ def _all_subsets(graph: DirectedGraph):
             yield frozenset(combo)
 
 
+def _closed_and_fed(graph: DirectedGraph, subset: frozenset) -> bool:
+    """Whether ``subset`` is forward closed and feeds each of its vertices."""
+    for src, rng in graph.edges.values():
+        if src in subset and rng not in subset:
+            return False
+    return all(any(graph.src(e) in subset for e in graph.in_edges(v)) for v in subset)
+
+
 def _satisfies_tail_axioms(graph: DirectedGraph, subset: frozenset) -> bool:
     """The three maximal-tail axioms, checked literally.
 
@@ -81,14 +89,8 @@ def _satisfies_tail_axioms(graph: DirectedGraph, subset: frozenset) -> bool:
     members share an ancestor inside (a vertex is its own ancestor).
     Reachability is searched here afresh so that no fast path is reused.
     """
-    if not subset:
+    if not subset or not _closed_and_fed(graph, subset):
         return False
-    for src, rng in graph.edges.values():
-        if src in subset and rng not in subset:
-            return False
-    for v in subset:
-        if not any(graph.src(e) in subset for e in graph.in_edges(v)):
-            return False
     descendants = {}
     for v in subset:
         seen = {v}
@@ -118,21 +120,8 @@ def brute_saturated_hereditary(graph: DirectedGraph) -> list[frozenset]:
     the closure operators, so it is an independent route to the same
     family the fast enumeration generates.
     """
-    results = []
-    for subset in _all_subsets(graph):
-        complement = frozenset(graph.vertices) - subset
-        forward_closed = all(
-            rng in complement
-            for src, rng in graph.edges.values()
-            if src in complement
-        )
-        internally_fed = all(
-            any(graph.src(e) in complement for e in graph.in_edges(v))
-            for v in complement
-        )
-        if forward_closed and internally_fed:
-            results.append(subset)
-    return results
+    everything = frozenset(graph.vertices)
+    return [s for s in _all_subsets(graph) if _closed_and_fed(graph, everything - s)]
 
 
 def _broken_distributive_laws(graph: DirectedGraph, family) -> list[str]:
@@ -294,3 +283,43 @@ def random_primitive(rng: random.Random, graph: DirectedGraph) -> PrimitiveIdeal
     tail = rng.choice(enumerate_maximal_tails(graph))
     angle = random_angle(rng) if tail.is_cyclic else Fraction(0)
     return PrimitiveIdeal(tail, angle)
+
+
+def _agreement(fast, brute) -> OracleReport:
+    """Whether two families of vertex sets agree, one check per brute-force set."""
+    # sorted members, by size then members: sets themselves only order by inclusion
+    fast, brute = (sorted(map(sorted, sets), key=lambda s: (len(s), s)) for sets in (fast, brute))
+    report = OracleReport(len(brute))
+    if fast != brute:
+        report.record({"fast": fast, "brute": brute})
+    return report
+
+
+def self_check(graph: DirectedGraph, seed: int, samples: int) -> dict:
+    """The ``oracle`` command's report: fast against brute-force tails and
+    sat-hered sets, then the lattice laws on ``samples`` ideal pairs and
+    closure coherence on ``samples`` sets of primitives, all drawn from
+    ``random.Random(seed)``."""
+    # the brute-force guard turns a large graph away before the fast paths run
+    brute_tails = brute_maximal_tails(graph)
+    reports = {
+        "tails": _agreement([t.vertices for t in enumerate_maximal_tails(graph)], brute_tails),
+        "saturated_hereditary": _agreement(
+            enumerate_saturated_hereditary(graph), brute_saturated_hereditary(graph)
+        ),
+    }
+    rng = random.Random(seed)
+    sample = [random_ideal_pair(rng, graph) for _ in range(samples)]
+    reports["lattice_laws"] = check_lattice_laws(graph, sample)
+    # the sets of primitives report as one check
+    merged = reports["closure_coherence"] = OracleReport()
+    for _ in range(samples):
+        prims = [random_primitive(rng, graph) for _ in range(rng.randint(1, 3))]
+        report = check_closure_coherence(graph, prims)
+        merged.checked += report.checked
+        merged.mismatches += report.mismatches
+    checks = {
+        name: {"pass": report.passed, "checked": report.checked, "mismatches": report.mismatches}
+        for name, report in reports.items()
+    }
+    return {"pass": all(report.passed for report in reports.values()), "checks": checks}

@@ -173,6 +173,40 @@ class TestGaugeLattice:
         assert '"{}" -> "{u,v}";' not in out
         assert lines[-1] == "}"
 
+    @staticmethod
+    def _members(label: str) -> frozenset:
+        """The vertex set a DOT node id names: plain ids and JSON strings, comma separated."""
+        # drop the DOT quotes, undo DOT's escapes, then drop the braces
+        text = re.sub(r'\\(.)', r"\1", label[1:-1])[1:-1]
+        members, decoder = [], json.JSONDecoder()
+        while text:
+            if text.startswith('"'):
+                member, end = decoder.raw_decode(text)
+            else:
+                end = text.find(",") if "," in text else len(text)
+                member = text[:end]
+            members.append(member)
+            text = text[end + 1 :]
+        return frozenset(members)
+
+    @pytest.mark.parametrize(
+        "vertices", [["a", "b", "a,b"], ["", "x"], ['a"b'], ["c\\d", "e\n", "{f}", "g h"]]
+    )
+    def test_dot_labels_are_distinct_and_quoted(self, capsys, vertices):
+        loops = [{"id": f"l{i}", "src": v, "rng": v} for i, v in enumerate(vertices)]
+        graph = json.dumps({"vertices": vertices, "edges": loops})
+        _, data, _ = run(capsys, "gauge-lattice", "-g", graph)
+        code, out, _ = run(capsys, "gauge-lattice", "-g", graph, "--dot")
+        assert code == 0
+        lattice = json.loads(data)
+        node = r'"(?:[^"\\]|\\.)*"'
+        lines = out.splitlines()[2:-1]
+        nodes = [line[2:-1] for line in lines if re.fullmatch(f"  {node};", line)]
+        edges = [line for line in lines if re.fullmatch(f"  {node} -> {node};", line)]
+        assert len(nodes) + len(edges) == len(lines)
+        assert [self._members(label) for label in nodes] == [frozenset(h) for h in lattice["sets"]]
+        assert len(edges) == len(lattice["covers"])
+
 
 class TestOracleCommand:
     def test_passes_on_fixture(self, capsys):
@@ -187,6 +221,18 @@ class TestOracleCommand:
             "closure_coherence",
         }
         assert all(entry["pass"] for entry in payload["checks"].values())
+
+    @pytest.mark.parametrize("flag", [("--samples", "-3"), ("--samples=-1",)])
+    def test_negative_samples_is_a_usage_error(self, capsys, flag):
+        code, out, err = run(capsys, "oracle", "-g", G_LOOP, *flag)
+        assert code == 2 and out == ""
+        assert "--samples" in err
+
+    def test_zero_samples_checks_no_laws(self, capsys):
+        code, out, _ = run(capsys, "oracle", "-g", G_LOOP, "--samples", "0")
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert checks["lattice_laws"]["checked"] == checks["closure_coherence"]["checked"] == 0
 
     def test_mismatch_exits_three(self, capsys, monkeypatch):
         broken = OracleReport()

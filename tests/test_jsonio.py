@@ -14,7 +14,6 @@ from prim_lattice import (
     HullEntry,
     MalformedHullError,
     OpenCircleSet,
-    OracleReport,
     PrimitiveIdeal,
     classify_tail,
     enumerate_maximal_tails,
@@ -251,13 +250,3 @@ class TestLatticeCodecs:
                 "z": "z = 1",
             }
         ]
-
-    def test_report_shape(self):
-        report = OracleReport()
-        report.checked = 3
-        report.record("boom")
-        assert jsonio.report_to_json(report) == {
-            "pass": False,
-            "checked": 3,
-            "mismatches": ["boom"],
-        }

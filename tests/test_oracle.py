@@ -19,6 +19,7 @@ from prim_lattice import (
     check_closure_coherence,
     check_lattice_laws,
     classify_tail,
+    enumerate_maximal_tails,
     enumerate_saturated_hereditary,
     ideal_pair,
     improper_ideal,
@@ -57,6 +58,26 @@ class TestBruteForce:
             g = random_graph(rng, max_vertices=5, max_edges=8)
             assert brute_saturated_hereditary(g) == enumerate_saturated_hereditary(g)
 
+    def test_saturated_hereditary_up_to_the_guard(self):
+        # the sat-hered sets are exactly the complements of unions of maximal
+        # tails; lattices of more than 4 096 sets take seconds to list, so
+        # ten graphs of 12 to 16 vertices with smaller lattices are checked
+        rng = random.Random(149)
+        checked = 0
+        while checked < 10:
+            g = random_graph(rng, 16, 28)
+            if len(g.vertices) < 12:
+                continue
+            brute = brute_saturated_hereditary(g)
+            if len(brute) > 4096:
+                continue
+            checked += 1
+            assert sorted(enumerate_saturated_hereditary(g), key=sorted) == sorted(brute, key=sorted)
+            unions = {frozenset()}
+            for tail in enumerate_maximal_tails(g):
+                unions |= {union | tail.vertices for union in unions}
+            assert {frozenset(g.vertices) - union for union in unions} == set(brute)
+
     def test_subset_guard(self):
         big = validate(
             DirectedGraph(
@@ -77,6 +98,63 @@ class TestReport:
         report.record("off by one")
         assert not report.passed
         assert report.mismatches == ["off by one"]
+
+
+class TestSelfCheck:
+    """The ``oracle`` command's report, built in one place."""
+
+    def test_report_shape(self, monkeypatch):
+        boom = OracleReport(3, ["boom"])
+        monkeypatch.setattr(oracle_module, "check_lattice_laws", lambda graph, sample: boom)
+        report = oracle_module.self_check(g_flow, 0, 2)
+        assert report["pass"] is False
+        assert report["checks"]["lattice_laws"] == {
+            "pass": False,
+            "checked": 3,
+            "mismatches": ["boom"],
+        }
+        assert all(
+            set(check) == {"pass", "checked", "mismatches"} and check["pass"]
+            for name, check in report["checks"].items()
+            if name != "lattice_laws"
+        )
+
+    def test_agreement_lists_both_families(self, monkeypatch):
+        monkeypatch.setattr(oracle_module, "brute_maximal_tails", lambda graph: [])
+        check = oracle_module.self_check(g_flow, 0, 0)["checks"]["tails"]
+        assert check == {
+            "pass": False,
+            "checked": 0,
+            "mismatches": [{"fast": [["v"], ["u", "v"]], "brute": []}],
+        }
+
+    def test_agreement_ignores_the_order_of_equal_families(self):
+        a, b, ab = frozenset("a"), frozenset("b"), frozenset("ab")
+        assert oracle_module._agreement([b, a, ab], [a, b, ab]) == OracleReport(3)
+        report = oracle_module._agreement([b, ab], [a, ab])
+        assert report.mismatches == [{"fast": [["b"], ["a", "b"]], "brute": [["a"], ["a", "b"]]}]
+
+    def test_guard_comes_before_the_fast_paths(self, monkeypatch):
+        def refuse(graph):
+            raise AssertionError("a fast path ran on a graph past the guard")
+
+        monkeypatch.setattr(oracle_module, "enumerate_maximal_tails", refuse)
+        big = validate(
+            DirectedGraph(
+                [f"v{i}" for i in range(17)],
+                {f"a{i}": (f"v{i}", f"v{i}") for i in range(17)},
+            )
+        )
+        with pytest.raises(TooLargeError):
+            oracle_module.self_check(big, 0, 0)
+
+    @pytest.mark.parametrize("seed, coherence", [(0, 28), (3, 20), (5, 16)])
+    def test_draw_order_is_pinned(self, seed, coherence):
+        # pairs first, then primitives, from one stream: the primitives drawn
+        # set the angle grid, and so how many closures are checked
+        checks = oracle_module.self_check(g_flow, seed, 3)["checks"]
+        assert checks["closure_coherence"]["checked"] == coherence
+        assert checks["lattice_laws"]["checked"] == 3 + 6 + 2 * 10
 
 
 class TestLawChecker:
