@@ -17,13 +17,21 @@ sorted and disjoint, on ``[0, 2)``.  Closed sets keep the same order
 over their arcs and points taken together.  Each set operation is one
 merge pass that relies on this order, and builds its result directly;
 only outside input goes through the checks in the constructors.
+
+Endpoints are exact rationals that the merge passes compare as plain
+integers, each by its own numerator and denominator: ``a/b < c/d`` is
+``a*d < c*b``, and one turn up is ``(a + b)/b``.  Sets keep these
+integers beside their ``Fraction`` fields.  A result's endpoints are its
+arguments', some shifted by a turn, so no ``gcd`` is taken.  There is no
+common denominator per set: the lcm of n unrelated denominators can have
+n times their digits, where a cross product has the digits of two.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from fractions import Fraction
-from operator import itemgetter, le, lt
+from operator import le, lt
 
 from .errors import GraphAlgebraError, excerpt
 from .record import Record, set_field
@@ -36,6 +44,8 @@ _NOT_RATIONAL = (ValueError, ZeroDivisionError, OverflowError)
 
 def as_angle(value) -> Fraction:
     """Coerce a fraction, integer or ``p/q`` string onto the circle."""
+    if type(value) is Fraction and 0 <= value.numerator < value.denominator:
+        return value
     try:
         return Fraction(value) % 1
     except _NOT_RATIONAL as err:
@@ -46,10 +56,20 @@ def format_angle(angle: Fraction) -> str:
     return str(Fraction(angle))
 
 
-def _checked(raw, kind: str, joins) -> list | None:
-    """Outside arcs as ``(start, start + length)``, or ``None`` if one covers
-    the circle.  ``joins`` is ``<`` for open arcs, which merge when they
-    overlap, and ``<=`` for closed ones, which merge when they touch."""
+def _entry(lo: Fraction, hi: Fraction) -> tuple:
+    """A piece as ``(lo, hi)`` followed by their numerators and denominators."""
+    return lo, hi, lo.numerator, lo.denominator, hi.numerator, hi.denominator
+
+
+def _is_point(piece) -> bool:
+    return piece[2] == piece[4] and piece[3] == piece[5]
+
+
+def _normalise(raw, points, joins) -> tuple[list, bool]:
+    """Canonical ``(pieces, is_full)`` of outside arcs and points.  ``joins``
+    is ``<`` for open arcs, which merge when they overlap, and ``<=`` for
+    closed ones, which merge when they touch."""
+    kind = "open" if joins is lt else "closed"
     segments = []
     for a, b in raw:
         try:
@@ -62,83 +82,125 @@ def _checked(raw, kind: str, joins) -> list | None:
             fault = "has no interior" if kind == "open" else "runs backwards"
             raise GraphAlgebraError(f"{kind} arc {excerpt(f'({a}, {b})')} {fault}")
         if joins(1, length):
-            return None
+            return [], True
         start = a % 1
-        segments.append((start, start + length))
-    return segments
+        segments.append(_entry(start, start + length))
+    segments += [_entry(p, p) for p in map(as_angle, points)]
+    return _coalesce(_in_order([[p] for p in segments]), joins)
 
 
-def _coalesce(pieces, joins=lt) -> tuple[tuple, bool]:
-    """Canonical ``(pieces, is_full)`` from pieces sorted by a start in ``[0, 1)``."""
+def _merge(first, second=()) -> list:
+    """Two runs of pieces sorted by start, merged into one."""
+    merged, second = [], iter(second)
+    y = next(second, None)
+    for x in first:
+        while y is not None and y[2] * x[3] < x[2] * y[3]:
+            merged.append(y)
+            y = next(second, None)
+        merged.append(x)
+    return merged if y is None else merged + [y, *second]
+
+
+def _in_order(runs: list):
+    """Runs of pieces sorted by start, merged two at a time into one sorted
+    run: O(n log k) steps for n pieces in k runs."""
+    while len(runs) > 1:
+        runs = [_merge(*runs[i : i + 2]) for i in range(0, len(runs), 2)]
+    return runs[0] if runs else ()
+
+
+def _coalesce(pieces, joins) -> tuple[list, bool]:
+    """Canonical ``(pieces, is_full)`` from pieces sorted by a start in
+    ``[0, 1)``, ``joins`` comparing cross products (see :func:`_normalise`)."""
     merged = []
-    for lo, hi in pieces:
-        if merged and joins(lo, merged[-1][1]):
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
+    for piece in pieces:
+        if merged:
+            last = merged[-1]
+            if joins(piece[2] * last[5], last[4] * piece[3]):
+                if last[4] * piece[5] < piece[4] * last[5]:
+                    merged[-1] = (last[0], piece[1], last[2], last[3], piece[4], piece[5])
+                continue
+        merged.append(piece)
     # the final piece may spill past 1 and swallow pieces at the seam
-    while len(merged) > 1 and joins(merged[0][0] + 1, merged[-1][1]):
-        first = merged.pop(0)
-        merged[-1] = (merged[-1][0], max(merged[-1][1], first[1] + 1))
-    if len(merged) == 1 and joins(1, merged[0][1] - merged[0][0]):
-        return (), True
-    return tuple(merged), False
+    while len(merged) > 1:
+        first, last = merged[0], merged[-1]
+        if not joins((first[2] + first[3]) * last[5], last[4] * first[3]):
+            break
+        del merged[0]
+        if last[4] * first[5] < (first[4] + first[5]) * last[5]:
+            merged[-1] = (last[0], first[1] + 1, last[2], last[3], first[4] + first[5], first[5])
+    if len(merged) == 1:
+        _, _, ln, ld, hn, hd = merged[0]
+        # the one piece is longer than a turn, or a whole turn when closed
+        if joins(hd * ld, hn * ld - ln * hd):
+            return [], True
+    return merged, False
 
 
-def _normalise_open(raw) -> tuple[tuple, bool]:
-    pieces = _checked(raw, "open", lt)
-    return ((), True) if pieces is None else _coalesce(sorted(pieces))
+def _lifts(pieces):
+    """Canonical pieces lifted over ``[0, 2)``, still sorted and disjoint, as
+    ``(start n, start d, end n, end d, turns, piece)``: the last one turn
+    down, all as stored, then all one turn up."""
+    for p in pieces[-1:]:
+        yield p[2] - p[3], p[3], p[4] - p[5], p[5], -1, p
+    for p in pieces:
+        yield p[2], p[3], p[4], p[5], 0, p
+    for p in pieces:
+        yield p[2] + p[3], p[3], p[4] + p[5], p[5], 1, p
 
 
-def _normalise_closed(raw_arcs, raw_points) -> tuple[tuple, tuple, bool]:
-    pieces = _checked(raw_arcs, "closed", le)
-    if pieces is None:
-        return (), (), True
-    pieces += [(p, p) for p in map(as_angle, raw_points)]
-    merged, is_full = _coalesce(sorted(pieces), le)
-    arcs = tuple(s for s in merged if s[0] != s[1])
-    points = tuple(s[0] for s in merged if s[0] == s[1])
-    return arcs, points, is_full
+# a lift beyond every stored piece, standing in once a cover runs out
+_PAST = (3, 1, 3, 1, 0, None)
 
 
-def _turns(pieces):
-    """Canonical pieces lifted over ``[0, 2)``, still sorted and disjoint:
-    the last one turn down, all as stored, then all one turn up."""
-    for lo, hi in pieces[-1:]:
-        yield lo - 1, hi - 1
-    yield from pieces
-    for lo, hi in pieces:
-        yield lo + 1, hi + 1
-
-
-def _gaps(pieces):
-    """The gaps between canonical pieces, as ``(end, next start)``: each
-    piece's end with the next one's start, and the last end with the first
-    start plus one.  A gap may start past ``1``; the constructors reduce it."""
-    return zip([hi for _, hi in pieces], [lo for lo, _ in pieces[1:]] + [pieces[0][0] + 1])
-
-
-# a cover piece beyond every stored piece, standing in once a cover runs out
-_PAST = (3, 3)
+def _gaps(pieces) -> list:
+    """The gaps between canonical pieces, in canonical order: each piece's
+    end with the next one's start, and the last end with the first start
+    one turn up, taken a turn down to lead when it starts at 1 or past it."""
+    gaps = [(x[1], y[0], x[4], x[5], y[2], y[3]) for x, y in zip(pieces, pieces[1:])]
+    first, last = pieces[0], pieces[-1]
+    if last[4] < last[5]:
+        gaps.append((last[1], first[0] + 1, last[4], last[5], first[2] + first[3], first[3]))
+    else:
+        gaps.insert(0, (last[1] - 1, first[0], last[4] - last[5], last[5], first[2], first[3]))
+    return gaps
 
 
 def _within(pieces, cover) -> bool:
-    """Whether each of the sorted, disjoint pieces lies in one cover piece."""
-    cover = iter(cover)
-    c = d = -1
-    for a, b in pieces:
-        # the first cover piece to reach b is the only one that can hold (a, b)
-        while d < b:
-            c, d = next(cover, _PAST)
-        if a < c:
+    """Whether each of the sorted, disjoint pieces lies in one lift of ``cover``."""
+    cn = dn = -1
+    cd = dd = 1
+    for _, _, an, ad, bn, bd in pieces:
+        # the first lift to reach b is the only one that can hold (a, b)
+        while dn * bd < bn * dd:
+            cn, cd, dn, dd, _, _ = next(cover, _PAST)
+        if an * cd < cn * ad:
             return False
     return True
+
+
+def _holds(pieces, angle, joins) -> bool:
+    """Whether the angle or the angle one turn up is in a piece (on it, for ``<=``)."""
+    theta = as_angle(angle)
+    n, d = theta.numerator, theta.denominator
+    return any(
+        joins(ln * d, t * ld) and joins(t * hd, hn * d)
+        for _, _, ln, ld, hn, hd in pieces
+        for t in (n, n + d)
+    )
+
+
+def _trusted(cls, pieces, is_full: bool = False):
+    """A set of class ``cls`` from pieces that are canonical already: no checks."""
+    new = cls.__new__(cls)
+    new._fill(pieces, is_full)
+    return new
 
 
 class OpenCircleSet(Record):
     """An open subset of the circle in canonical arc form."""
 
-    __slots__ = ("arcs", "is_full")
+    __slots__ = ("arcs", "is_full", "_pieces")
 
     def __init__(self, arcs: tuple = (), is_full: bool = False):
         self.__post_init__(arcs, is_full)
@@ -146,20 +208,13 @@ class OpenCircleSet(Record):
     def __post_init__(self, arcs, is_full):
         # canonical form is computed here rather than in __init__ so that
         # perfbench/spans.py can time construction by wrapping this method
-        if is_full:
-            arcs, is_full = (), True
-        else:
-            arcs, is_full = _normalise_open(arcs)
-        set_field(self, "arcs", arcs)
-        set_field(self, "is_full", is_full)
+        self._fill(*(([], True) if is_full else _normalise(arcs, (), lt)))
 
-    @classmethod
-    def _trusted(cls, arcs: tuple, is_full: bool = False) -> "OpenCircleSet":
-        """A set from arcs that are canonical already: no checks."""
-        new = cls.__new__(cls)
-        set_field(new, "arcs", arcs)
-        set_field(new, "is_full", is_full)
-        return new
+    def _fill(self, pieces, is_full: bool) -> None:
+        """Store canonical pieces: their arcs as fields, their integers beside."""
+        set_field(self, "arcs", tuple([p[:2] for p in pieces]))
+        set_field(self, "is_full", is_full)
+        set_field(self, "_pieces", tuple(pieces))
 
     @classmethod
     def empty(cls) -> "OpenCircleSet":
@@ -180,10 +235,7 @@ class OpenCircleSet(Record):
         return not self.is_full
 
     def contains(self, angle) -> bool:
-        if self.is_full:
-            return True
-        theta = as_angle(angle)
-        return any(a < t < b for a, b in self.arcs for t in (theta, theta + 1))
+        return self.is_full or _holds(self._pieces, angle, lt)
 
     def union(self, other: "OpenCircleSet") -> "OpenCircleSet":
         return open_union((self, other))
@@ -193,43 +245,46 @@ class OpenCircleSet(Record):
             return other
         if other.is_full:
             return self
-        # the stored arcs against the other set's lifts; a piece past the
-        # seam comes from the last arc and leads once taken a turn down
+        # the stored pieces against the other set's lifts; a piece past the
+        # seam comes from a lift one turn up and leads once taken a turn down
         wrapped, pieces = [], []
-        cover = _turns(other.arcs)
-        c, d = next(cover, _PAST)
-        for a, b in self.arcs:
+        cover = _lifts(other._pieces)
+        cn, cd, dn, dd, turns, lift = next(cover, _PAST)
+        for a, b, an, ad, bn, bd in self._pieces:
             while True:
-                lo, hi = max(a, c), min(b, d)
-                if lo < hi:
-                    if lo < 1:
-                        pieces.append((lo, hi))
+                # the overlap runs from the later start to the earlier end
+                later, earlier = an * cd < cn * ad, dn * bd < bn * dd
+                if an * dd < dn * ad and cn * bd < bn * cd:
+                    # a piece on a lift one turn up is stored a turn down, so
+                    # only an end of b - 1, or of a lift one turn down, is new
+                    x, xn, xd = (lift[0], lift[2], lift[3]) if later else (a, an, ad)
+                    if earlier:
+                        y, yn, yd = (lift[1], lift[4], lift[5]) if turns >= 0 else (lift[1] - 1, dn, dd)
                     else:
-                        wrapped.append((lo - 1, hi - 1))
-                if b <= d:
+                        y, yn, yd = (b, bn, bd) if turns <= 0 else (b - 1, bn - bd, bd)
+                    (wrapped if turns > 0 else pieces).append((x, y, xn, xd, yn, yd))
+                if not earlier:
                     break
-                c, d = next(cover, _PAST)
-        return OpenCircleSet._trusted(tuple(wrapped + pieces))
+                cn, cd, dn, dd, turns, lift = next(cover, _PAST)
+        return _trusted(OpenCircleSet, wrapped + pieces)
 
     def is_subset(self, other: "OpenCircleSet") -> bool:
         if self.is_full or other.is_full:
             return other.is_full
-        return _within(self.arcs, _turns(other.arcs))
+        return _within(self._pieces, _lifts(other._pieces))
 
     def complement(self) -> "ClosedCircleSet":
         if self.is_full:
             return ClosedCircleSet.empty()
-        if not self.arcs:
+        if not self._pieces:
             return ClosedCircleSet.full()
         # a gap between arcs that touch is the point they share
-        gaps = tuple(_gaps(self.arcs))
-        arcs = tuple(gap for gap in gaps if gap[0] != gap[1])
-        return ClosedCircleSet(arcs, tuple(a for a, b in gaps if a == b))
+        return _trusted(ClosedCircleSet, _gaps(self._pieces))
 
     def closure(self) -> "ClosedCircleSet":
         if self.is_full:
             return ClosedCircleSet.full()
-        return ClosedCircleSet(self.arcs, ())
+        return _trusted(ClosedCircleSet, *_coalesce(self._pieces, le))
 
     def endpoints(self) -> frozenset:
         return frozenset(e % 1 for arc in self.arcs for e in arc)
@@ -238,20 +293,21 @@ class OpenCircleSet(Record):
 class ClosedCircleSet(Record):
     """A closed subset of the circle: disjoint closed arcs plus points."""
 
-    __slots__ = ("arcs", "points", "is_full")
+    __slots__ = ("arcs", "points", "is_full", "_pieces")
 
     def __init__(self, arcs: tuple = (), points: tuple = (), is_full: bool = False):
         self.__post_init__(arcs, points, is_full)
 
     def __post_init__(self, arcs, points, is_full):
         # see OpenCircleSet.__post_init__
-        if is_full:
-            arcs, points, is_full = (), (), True
-        else:
-            arcs, points, is_full = _normalise_closed(arcs, points)
-        set_field(self, "arcs", arcs)
-        set_field(self, "points", points)
+        self._fill(*(([], True) if is_full else _normalise(arcs, points, le)))
+
+    def _fill(self, pieces, is_full: bool) -> None:
+        """Store canonical pieces: arcs and points as fields, integers beside."""
+        set_field(self, "arcs", tuple([p[:2] for p in pieces if not _is_point(p)]))
+        set_field(self, "points", tuple([p[0] for p in pieces if _is_point(p)]))
         set_field(self, "is_full", is_full)
+        set_field(self, "_pieces", tuple(pieces))
 
     @classmethod
     def empty(cls) -> "ClosedCircleSet":
@@ -265,34 +321,26 @@ class ClosedCircleSet(Record):
         return not self.is_full and not self.arcs and not self.points
 
     def contains(self, angle) -> bool:
-        if self.is_full:
-            return True
-        theta = as_angle(angle)
-        if theta in self.points:
-            return True
-        return any(a <= t <= b for a, b in self.arcs for t in (theta, theta + 1))
+        return self.is_full or _holds(self._pieces, angle, le)
 
     def complement(self) -> OpenCircleSet:
         if self.is_full:
             return OpenCircleSet.empty()
-        pieces = self._pieces()
-        if not pieces:
+        if not self._pieces:
             return OpenCircleSet.full()
         # closed pieces never touch, so every gap is an arc: a lone point's
         # gap runs a whole turn, which is the circle minus that point
-        return OpenCircleSet(tuple(_gaps(pieces)))
+        return _trusted(OpenCircleSet, _gaps(self._pieces))
 
     def interior(self) -> OpenCircleSet:
         if self.is_full:
             return OpenCircleSet.full()
-        return OpenCircleSet(self.arcs)
+        return _trusted(OpenCircleSet, [p for p in self._pieces if not _is_point(p)])
 
     def union(self, other: "ClosedCircleSet") -> "ClosedCircleSet":
         if self.is_full or other.is_full:
             return ClosedCircleSet.full()
-        return ClosedCircleSet(
-            self.arcs + other.arcs, self.points + other.points
-        )
+        return _trusted(ClosedCircleSet, *_coalesce(_in_order([self._pieces, other._pieces]), le))
 
     def intersect(self, other: "ClosedCircleSet") -> "ClosedCircleSet":
         return self.complement().union(other.complement()).complement()
@@ -300,22 +348,17 @@ class ClosedCircleSet(Record):
     def is_subset(self, other: "ClosedCircleSet") -> bool:
         if self.is_full or other.is_full:
             return other.is_full
-        return _within(self._pieces(), _turns(other._pieces()))
-
-    def _pieces(self) -> list:
-        """Arcs and points (as zero-length arcs) together, sorted by start."""
-        return sorted(self.arcs + tuple((p, p) for p in self.points))
+        return _within(self._pieces, _lifts(other._pieces))
 
 
 def open_union(sets: Iterable[OpenCircleSet]) -> OpenCircleSet:
     """The union of finitely many open sets, the empty set for none: one merge pass."""
-    arcs = []
+    runs = []
     for value in sets:
         if value.is_full:
             return OpenCircleSet.full()
-        arcs += value.arcs
-    # each set's arcs are a sorted run, and arcs that share a start merge in any order
-    return OpenCircleSet._trusted(*_coalesce(sorted(arcs, key=itemgetter(0))))
+        runs.append(value._pieces)
+    return _trusted(OpenCircleSet, *_coalesce(_in_order(runs), lt))
 
 
 def finite_closed_set(angles: Iterable) -> ClosedCircleSet:

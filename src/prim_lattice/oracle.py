@@ -200,7 +200,7 @@ def _enriched_angles(prims, pair: IdealPair, zgrid) -> list[Fraction]:
 
 
 def check_closure_coherence(
-    graph: DirectedGraph, prims: list[PrimitiveIdeal], zgrid=()
+    graph: DirectedGraph, prims: list[PrimitiveIdeal], zgrid=(), tails=None
 ) -> OracleReport:
     """Compare topological closure against containment in the meet.
 
@@ -208,12 +208,13 @@ def check_closure_coherence(
     it contains the intersection of the set, so the direct closure test
     and the composed meet-then-containment test must agree everywhere.
     The angle grid is enriched with every angle and endpoint appearing
-    in the inputs plus the midpoints between consecutive ones.
+    in the inputs plus the midpoints between consecutive ones.  Every
+    maximal tail is probed; ``tails`` lists them, if not ``None``.
     """
     report = OracleReport()
     met = meet_of_primitives(graph, prims)
     angles = _enriched_angles(prims, met, zgrid)
-    for tail in enumerate_maximal_tails(graph):
+    for tail in enumerate_maximal_tails(graph) if tails is None else tails:
         probes = angles if tail.is_cyclic else [Fraction(0)]
         for angle in probes:
             target = PrimitiveIdeal(tail, angle)
@@ -272,15 +273,17 @@ def random_proper_open_set(
     return OpenCircleSet.empty()
 
 
-def random_ideal_pair(rng: random.Random, graph: DirectedGraph) -> IdealPair:
-    hereditary = rng.choice(enumerate_saturated_hereditary(graph))
+def random_ideal_pair(rng: random.Random, graph: DirectedGraph, family=None) -> IdealPair:
+    """A pair on a set drawn from ``family``, all sat-hered sets if ``None``."""
+    hereditary = rng.choice(enumerate_saturated_hereditary(graph) if family is None else family)
     cycles = entrance_free_cycles(graph, frozenset(graph.vertices) - hereditary)
     assignment = {c: random_proper_open_set(rng) for c in cycles}
     return ideal_pair(graph, hereditary, assignment)
 
 
-def random_primitive(rng: random.Random, graph: DirectedGraph) -> PrimitiveIdeal:
-    tail = rng.choice(enumerate_maximal_tails(graph))
+def random_primitive(rng: random.Random, graph: DirectedGraph, tails=None) -> PrimitiveIdeal:
+    """A primitive on a tail drawn from ``tails``, all maximal tails if ``None``."""
+    tail = rng.choice(enumerate_maximal_tails(graph) if tails is None else tails)
     angle = random_angle(rng) if tail.is_cyclic else Fraction(0)
     return PrimitiveIdeal(tail, angle)
 
@@ -302,20 +305,21 @@ def self_check(graph: DirectedGraph, seed: int, samples: int) -> dict:
     ``random.Random(seed)``."""
     # the brute-force guard turns a large graph away before the fast paths run
     brute_tails = brute_maximal_tails(graph)
+    # each family is listed once, and every draw and probe reads that list
+    tails = enumerate_maximal_tails(graph)
+    family = enumerate_saturated_hereditary(graph)
     reports = {
-        "tails": _agreement([t.vertices for t in enumerate_maximal_tails(graph)], brute_tails),
-        "saturated_hereditary": _agreement(
-            enumerate_saturated_hereditary(graph), brute_saturated_hereditary(graph)
-        ),
+        "tails": _agreement([t.vertices for t in tails], brute_tails),
+        "saturated_hereditary": _agreement(family, brute_saturated_hereditary(graph)),
     }
     rng = random.Random(seed)
-    sample = [random_ideal_pair(rng, graph) for _ in range(samples)]
+    sample = [random_ideal_pair(rng, graph, family) for _ in range(samples)]
     reports["lattice_laws"] = check_lattice_laws(graph, sample)
     # the sets of primitives report as one check
     merged = reports["closure_coherence"] = OracleReport()
     for _ in range(samples):
-        prims = [random_primitive(rng, graph) for _ in range(rng.randint(1, 3))]
-        report = check_closure_coherence(graph, prims)
+        prims = [random_primitive(rng, graph, tails) for _ in range(rng.randint(1, 3))]
+        report = check_closure_coherence(graph, prims, tails=tails)
         merged.checked += report.checked
         merged.mismatches += report.mismatches
     checks = {

@@ -19,17 +19,18 @@ class Record:
 
     Two records are equal only when they are of the same class and
     their field tuples are equal, and the hash is the hash of the field
-    tuple, as for a frozen dataclass.  Assigning or deleting an
-    attribute raises ``AttributeError``; constructors store their fields
-    with :data:`set_field`.  A subclass that defines one of the
-    generated methods itself keeps its own.
+    tuple, as for a frozen dataclass.  A slot named with a leading
+    underscore is no field: it holds data derived from the fields.
+    Assigning or deleting an attribute raises ``AttributeError``;
+    constructors store their fields with :data:`set_field`.  A subclass
+    that defines one of the generated methods itself keeps its own.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        names = cls.__slots__
+        names = cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
         if len(names) == 1:
             only = attrgetter(names[0])
 
@@ -55,7 +56,7 @@ class Record:
                 setattr(cls, method.__name__, method)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name, value):

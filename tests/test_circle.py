@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+import time
 from fractions import Fraction as F
 
 import pytest
 
+from prim_lattice import circle
 from prim_lattice import (
     ClosedCircleSet,
     OpenCircleSet,
@@ -355,7 +358,8 @@ class TestMergeKernels:
 
 
 class TestKernelWork:
-    """Exact comparison counts, which do not depend on the host's speed."""
+    """Kernel work as exact counts, which do not depend on the host's speed:
+    lines run inside ``circle.py``, and ``Fraction`` comparisons."""
 
     COMPARISONS = ("__lt__", "__le__", "__gt__", "__ge__", "__eq__")
 
@@ -368,8 +372,27 @@ class TestKernelWork:
         b = OpenCircleSet.from_arcs((i * 2 * step + step, i * 2 * step + step * 2) for i in range(k))
         return a, b
 
-    def _count(self, monkeypatch, prepare, operation, k):
-        args = prepare(*self._sets(k))
+    @staticmethod
+    def _lines(operation, args):
+        """Line events inside ``circle.py`` during one call, generators included."""
+        lines = [0]
+
+        def local(frame, event, arg):
+            lines[0] += event == "line"
+            return local
+
+        def calls(frame, event, arg):
+            return local if frame.f_code.co_filename == circle.__file__ else None
+
+        previous = sys.gettrace()
+        sys.settrace(calls)
+        try:
+            operation(*args)
+        finally:
+            sys.settrace(previous)
+        return lines[0]
+
+    def _comparisons(self, monkeypatch, operation, args):
         calls = [0]
         for name in self.COMPARISONS:
             original = getattr(F, name)
@@ -394,7 +417,55 @@ class TestKernelWork:
         ],
         ids=["intersect", "union", "is_subset", "is_subset-true", "closed-is_subset"],
     )
-    def test_comparisons_grow_linearly_in_the_arc_count(self, monkeypatch, prepare, operation):
-        small = self._count(monkeypatch, prepare, operation, 12)
-        large = self._count(monkeypatch, prepare, operation, 48)
+    def test_comparisons_grow_linearly_in_the_arc_count(self, prepare, operation):
+        # the kernels compare endpoints as integers, which no hook counts,
+        # so their work is counted as the lines they run
+        small = self._lines(operation, prepare(*self._sets(12)))
+        large = self._lines(operation, prepare(*self._sets(48)))
         assert 0 < small and large <= 5 * small
+
+    @pytest.mark.parametrize(
+        "operation",
+        [
+            OpenCircleSet.intersect,
+            OpenCircleSet.union,
+            OpenCircleSet.is_subset,
+            lambda a, b: b.is_subset(a.union(b)),
+            lambda a, b: a.complement(),
+            lambda a, b: [a.contains(start) for start, _ in b.arcs],
+        ],
+        ids=["intersect", "union", "is_subset", "is_subset-true", "complement", "contains"],
+    )
+    def test_open_kernels_compare_no_fractions(self, monkeypatch, operation):
+        assert self._comparisons(monkeypatch, operation, self._sets(12)) == 0
+
+
+class TestLongEndpoints:
+    def test_two_hundred_arcs_with_distinct_long_denominators(self):
+        # each endpoint has its own denominator of about 4 000 digits, so one
+        # common denominator for a set would have hundreds of thousands
+        base = 10**3996
+
+        def arcs(shift):
+            ends = [F(j, 400) + F(1, base + 2 * j + shift) for j in range(400)]
+            if shift:
+                # half a step along, wrapping past the seam: each arc overlaps
+                # the end of one arc of the other set
+                ends = ends[1:] + [ends[0] + 1]
+            return [(ends[i], ends[i + 1]) for i in range(0, 400, 2)]
+
+        first, second = arcs(0), arcs(1)
+        for step in ("construct", "intersect", "union", "is_subset"):
+            started = time.perf_counter()
+            if step == "construct":
+                a, b = OpenCircleSet.from_arcs(first), OpenCircleSet.from_arcs(second)
+            elif step == "intersect":
+                meet = a.intersect(b)
+            elif step == "union":
+                join = a.union(b)
+            else:
+                inside = meet.is_subset(a) and meet.is_subset(b) and a.is_subset(join)
+            assert time.perf_counter() - started < 5, step
+        assert len(a.arcs) == len(b.arcs) == 200
+        assert len(meet.arcs) == 200 and len(join.arcs) == 200
+        assert inside and not a.is_subset(b)

@@ -23,6 +23,8 @@ from prim_lattice import (
     enumerate_saturated_hereditary,
     ideal_pair,
     improper_ideal,
+    pair_join,
+    pair_meet,
     random_graph,
     random_ideal_pair,
     random_primitive,
@@ -77,6 +79,42 @@ class TestBruteForce:
             for tail in enumerate_maximal_tails(g):
                 unions |= {union | tail.vertices for union in unions}
             assert {frozenset(g.vertices) - union for union in unions} == set(brute)
+
+    def test_meet_and_join_against_primitive_containment_up_to_the_guard(self):
+        # primitive ideals are prime: P contains I meet J exactly when it
+        # contains I or J, and I join J exactly when it contains both.  P is
+        # a tail T with an angle z, and it contains the pair (H, U) when H
+        # misses T and z lies outside the set U gives T's cycle, if any
+        def contains(pair, vertices, cycle, z):
+            if pair.vertices & vertices:
+                return False
+            arcs = [arc for c, value in pair.cycle_sets if c == cycle for arc in value.arcs]
+            return not any(a < z < b or a < z + 1 < b for a, b in arcs)
+
+        rng = random.Random(157)
+        checked = 0
+        while checked < 8:
+            g = random_graph(rng, 16, 32)
+            if len(g.vertices) < 12:
+                continue
+            family = enumerate_saturated_hereditary(g)
+            if len(family) > 4096:
+                continue
+            checked += 1
+            tails = [(t, classify_tail(g, t).cycle) for t in brute_maximal_tails(g)]
+            for _ in range(4):
+                left, right = random_ideal_pair(rng, g, family), random_ideal_pair(rng, g, family)
+                met, joined = pair_meet(g, [left, right]), pair_join(g, [left, right])
+                ends = {F(0)}
+                for pair in (left, right, met, joined):
+                    ends.update(e % 1 for _, value in pair.cycle_sets for arc in value.arcs for e in arc)
+                ends = sorted(ends)
+                grid = ends + [(x + y) / 2 % 1 for x, y in zip(ends, ends[1:] + [ends[0] + 1])]
+                for vertices, cycle in tails:
+                    for z in grid if cycle else [F(0)]:
+                        i, j, m, u = (contains(p, vertices, cycle, z) for p in (left, right, met, joined))
+                        assert m == (i or j)
+                        assert u == (i and j)
 
     def test_subset_guard(self):
         big = validate(
