@@ -352,13 +352,16 @@ class ClosedCircleSet(Record):
 
 
 def open_union(sets: Iterable[OpenCircleSet]) -> OpenCircleSet:
-    """The union of finitely many open sets, the empty set for none: one merge pass."""
-    runs = []
+    """The union of finitely many open sets, the empty set for none: one merge
+    pass, and none for one set, which is its own union."""
+    members = []
     for value in sets:
         if value.is_full:
             return OpenCircleSet.full()
-        runs.append(value._pieces)
-    return _trusted(OpenCircleSet, *_coalesce(_in_order(runs), lt))
+        members.append(value)
+    if len(members) == 1:
+        return members[0]
+    return _trusted(OpenCircleSet, *_coalesce(_in_order([v._pieces for v in members]), lt))
 
 
 def finite_closed_set(angles: Iterable) -> ClosedCircleSet:
@@ -367,6 +370,7 @@ def finite_closed_set(angles: Iterable) -> ClosedCircleSet:
 
 
 def punctured_circle(angle) -> OpenCircleSet:
-    """The circle with a single point removed."""
+    """The circle with a single point removed: one arc, canonical already."""
     theta = as_angle(angle)
-    return OpenCircleSet(((theta, theta + 1),))
+    n, d = theta.numerator, theta.denominator
+    return _trusted(OpenCircleSet, [(theta, theta + 1, n, d, n + d, d)])

@@ -72,8 +72,10 @@ class DirectedGraph:
                 outs[src].append(eid)
         self._in = {v: tuple(es) for v, es in ins.items()}
         self._out = {v: tuple(es) for v, es in outs.items()}
-        # in-degrees seed every saturation closure, which copies them
+        # a saturation closure reads the in-degree of each range it reaches,
+        # and every closure holds the vertices with no feeders at all
         self._in_degree = {v: len(es) for v, es in ins.items()}
+        self._unfed = tuple(v for v, es in ins.items() if not es)
         self._cycle_index = None
 
     def src(self, edge: str) -> str:
@@ -159,27 +161,30 @@ def hereditary_closure(graph: DirectedGraph, subset: Iterable[str]) -> frozenset
 def _saturation_fixpoint(graph: DirectedGraph, start: frozenset) -> frozenset:
     """Least saturated superset of the hereditary set ``start``.
 
-    Each vertex keeps a count of its in-edges whose source is not yet
-    known to be inside.  Every vertex inside lowers the counts of the
-    ranges of its out-edges once, and a vertex whose count reaches zero
-    joins, so each vertex and edge is handled once: O(V+E).  A vertex
-    joins only once all its feeders are inside, so the set stays
+    A range outside keeps a count of its in-edges whose source is not
+    yet known to be inside, read from the graph's in-degrees the first
+    time an edge reaches it.  Every vertex inside lowers the counts of
+    the ranges of its out-edges once, skipping ranges already inside,
+    and a vertex whose count reaches zero joins.  So a closure costs
+    O(|result| + out-edges of the result), however large the graph.  A
+    vertex joins only once all its feeders are inside, so the set stays
     hereditary.
     """
-    edges = graph.edges
-    waiting = graph._in_degree.copy()
+    edges, in_degree = graph.edges, graph._in_degree
     # a vertex with no feeders at all is saturated vacuously
-    todo = list(start) + [v for v, count in waiting.items() if not count and v not in start]
-    closure = set(todo)
+    closure = set(start).union(graph._unfed)
+    todo = list(closure)
+    waiting = {}
     while todo:
         for e in graph._out[todo.pop()]:
             r = edges[e][1]
             # a range the graph does not declare can never join
-            if r in waiting:
-                waiting[r] -= 1
-                if not waiting[r] and r not in closure:
-                    closure.add(r)
-                    todo.append(r)
+            if r in closure or r not in in_degree:
+                continue
+            waiting[r] = count = waiting.get(r, in_degree[r]) - 1
+            if not count:
+                closure.add(r)
+                todo.append(r)
     return frozenset(closure)
 
 

@@ -223,7 +223,7 @@ def pair_meet(graph: DirectedGraph, pairs: Sequence[IdealPair]) -> IdealPair:
     """
     if not pairs:
         raise GraphAlgebraError("meet of an empty family is not defined")
-    met = frozenset(graph.vertices).intersection(*(pair.vertices for pair in pairs))
+    met = pairs[0].vertices.intersection(*(pair.vertices for pair in pairs[1:]))
     members = _member_sets(pairs)
     cycle_sets = []
     for cycle in cycles_outside(graph, met):
@@ -292,17 +292,21 @@ def closure_contains(
     The target tail must be covered by the union of the tails, and when
     the target tail is cyclic with its cycle entrance-free in that
     union, the target point must lie in the closure of the points
-    attached to the same tail.
+    attached to the same tail.  A maximal tail lies in a union of tails
+    exactly when it lies in one of them: the union holds a vertex of the
+    component that generates it, so one tail does, and a tail is forward
+    closed.  So the union is never built.
     """
-    covered = frozenset().union(*(prim.tail.vertices for prim in prims))
     tail = target.tail
-    if not tail.vertices <= covered:
+    if not any(tail.vertices <= prim.tail.vertices for prim in prims):
         return False
-    # the tail lies in ``covered``, so its cycle is entrance-free there
-    # exactly when none of the cycle's entries is covered
-    if tail.is_cyclic and cycle_index(graph).entries[tail.cycle].isdisjoint(covered):
-        # finitely many points are their own closure, and angles are canonical
-        return any(prim.angle == target.angle and prim.tail == tail for prim in prims)
+    # the tail lies in the union, so its cycle is entrance-free there
+    # exactly when no tail of the union holds one of the cycle's entries
+    if tail.is_cyclic:
+        entries = cycle_index(graph).entries[tail.cycle]
+        if all(entries.isdisjoint(prim.tail.vertices) for prim in prims):
+            # finitely many points are their own closure, and angles are canonical
+            return any(prim.angle == target.angle and prim.tail == tail for prim in prims)
     return True
 
 

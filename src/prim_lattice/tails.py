@@ -164,14 +164,24 @@ class CycleIndex:
     edge, in Tarjan order.  ``cycles`` lists ``(cycle, vertex,
     entries)`` for each cycle component, sorted by cycle, with one of
     its vertices; ``entries`` maps each of those cycles to its entries.
+    ``entered`` maps each entry to the positions in ``cycles`` of the
+    components it enters, in order, and ``unentered`` lists the
+    positions of the components that have no entries.
     """
 
-    __slots__ = ("components", "cycles", "entries")
+    __slots__ = ("components", "cycles", "entries", "entered", "unentered")
 
     def __init__(self, components: list, cycles: list):
         self.components = components
         self.cycles = cycles
         self.entries = {cycle: entries for cycle, _, entries in cycles}
+        self.entered = {}
+        self.unentered = []
+        for i, (_, _, entries) in enumerate(cycles):
+            for v in entries:
+                self.entered.setdefault(v, []).append(i)
+            if not entries:
+                self.unentered.append(i)
 
 
 def build_cycle_index(graph: DirectedGraph) -> CycleIndex:
@@ -218,15 +228,23 @@ def cycles_outside(graph: DirectedGraph, hereditary: frozenset) -> list[Cycle]:
     """The entrance-free cycles of the complement of a hereditary set, sorted.
 
     The same list as ``entrance_free_cycles(graph, V - hereditary)``,
-    read off the index in time linear in the cycle components and their
-    entries.  The complement is forward closed, and a cycle component
-    with one vertex outside ``hereditary`` lies wholly outside it.
+    read off the index.  The complement is forward closed, and a cycle
+    component with one vertex outside ``hereditary`` lies wholly outside
+    it.  A component qualifies when ``hereditary`` holds all its entries,
+    so only the unentered components and those its members enter are
+    looked at: O(|hereditary| + components entered + answer), however
+    large the graph.  An unentered component lies inside or is an answer.
     """
-    return [
-        cycle
-        for cycle, vertex, entries in cycle_index(graph).cycles
-        if vertex not in hereditary and entries <= hereditary
-    ]
+    index = cycle_index(graph)
+    cycles, entered = index.cycles, index.entered
+    # each component entered from inside counts down its entries not yet met
+    unmet = {}
+    for v in hereditary:
+        if v in entered:
+            for i in entered[v]:
+                unmet[i] = unmet.get(i, len(cycles[i][2])) - 1
+    found = [i for i, left in unmet.items() if not left] + index.unentered
+    return [cycles[i][0] for i in sorted(found) if cycles[i][1] not in hereditary]
 
 
 def enumerate_maximal_tails(graph: DirectedGraph) -> list[MaximalTail]:

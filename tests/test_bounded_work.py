@@ -1,0 +1,189 @@
+"""Saturation and cycle lookup cost what they touch, not the whole graph.
+
+A graph here is a small looped chain beside a large part that no
+argument reaches.  The graph's tables are swapped for read-only views
+that log each key looked up and refuse to be copied or walked, so a
+kernel that scans the whole graph fails, and one that reads the large
+part shows up in the log.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Mapping
+from fractions import Fraction as F
+
+import pytest
+
+from prim_lattice import (
+    DirectedGraph,
+    OpenCircleSet,
+    entrance_free_cycles,
+    enumerate_saturated_hereditary,
+    ideal_pair,
+    is_saturated_hereditary,
+    pair_join,
+    pair_meet,
+    saturated_hereditary_closure,
+    validate,
+)
+from prim_lattice import oracle
+from prim_lattice.tails import cycle_index, cycles_outside
+from fixtures import antichain
+
+
+class Recording(Mapping):
+    """A view of a table or list that logs the keys read and cannot be walked."""
+
+    def __init__(self, table):
+        self.table = table
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return self.table[key]
+
+    def __iter__(self):
+        raise AssertionError("walked the whole table")
+
+    def __len__(self):
+        raise AssertionError("sized the whole table")
+
+
+SMALL = [f"a{i}" for i in range(4)]
+LARGE = 2000
+
+
+def _chain_edges(ids):
+    edges = {f"loop-{v}": (v, v) for v in ids}
+    edges.update({f"step-{v}": (v, w) for v, w in zip(ids, ids[1:])})
+    return edges
+
+
+def _split_graph(more_vertices=(), more_edges=(), size=LARGE):
+    """The looped chain ``SMALL`` beside a large part it never reaches.
+
+    The large part is a ring of ``size`` vertices entered from ``f``, which
+    has two loops, and a block of ``size`` in which each vertex feeds the
+    next two.  Neither holds a cycle that is entrance-free while ``f`` is
+    outside, so no answer about the chain names it.
+    """
+    ring, block = [f"b{i:04d}" for i in range(size)], [f"c{i:04d}" for i in range(size)]
+    edges = _chain_edges(SMALL)
+    edges.update({"f1": ("f", "f"), "f2": ("f", "f"), "fin": ("f", ring[0])})
+    edges.update({f"r{i}": (v, ring[(i + 1) % size]) for i, v in enumerate(ring)})
+    for i, v in enumerate(block):
+        edges[f"c{i}+1"] = (v, block[(i + 1) % size])
+        edges[f"c{i}+2"] = (v, block[(i + 2) % size])
+    edges.update(more_edges)
+    return DirectedGraph(SMALL + ring + block + ["f", *more_vertices], edges)
+
+
+def _record(graph, index=None):
+    """Swap the graph's tables, and those of its cycle ``index`` if given, for
+    recording views; an index that is read must be built beforehand."""
+    views = {}
+    names = [(graph, n) for n in ("vertices", "edges", "_in", "_out", "_in_degree")]
+    if index is not None:
+        names += [(index, "entered"), (index, "cycles")]
+    for owner, name in names:
+        views[name] = Recording(getattr(owner, name))
+        setattr(owner, name, views[name])
+    return views
+
+
+def _assert_within(views, allowed=SMALL):
+    """Every vertex read, as a key, an edge's endpoint or part of a cycle, is allowed."""
+    touched = set()
+    for name in ("_in", "_out", "_in_degree", "entered"):
+        if name in views:
+            touched |= views[name].read
+    edges = views["edges"]
+    touched.update(v for e in edges.read for v in edges.table[e])
+    if "cycles" in views:
+        cycles = views["cycles"]
+        for i in cycles.read:
+            _, vertex, entries = cycles.table[i]
+            touched |= entries | {vertex}
+    assert touched <= set(allowed), sorted(touched - set(allowed))[:5]
+
+
+class TestWorkBoundedByTheArguments:
+    def test_saturation_reads_only_what_it_reaches(self):
+        g = validate(_split_graph())
+        views = _record(g)
+        assert saturated_hereditary_closure(g, {"a1"}) == {"a0", "a1"}
+        assert saturated_hereditary_closure(g, ()) == frozenset()
+        assert is_saturated_hereditary(g, {"a0", "a1", "a2"})
+        assert not is_saturated_hereditary(g, {"a1"})
+        _assert_within(views)
+
+    def test_cycle_lookup_reads_only_what_it_is_given(self):
+        g = validate(_split_graph())
+        views = _record(g, cycle_index(g))
+        for k in range(len(SMALL)):
+            found = cycles_outside(g, frozenset(SMALL[:k]))
+            assert [c.edges for c in found] == [(f"loop-{SMALL[k]}",)]
+        _assert_within(views)
+
+    def test_meet_and_join_read_only_what_their_members_touch(self):
+        g = validate(_split_graph())
+
+        def pair(k, *arcs):
+            loop = cycles_outside(g, frozenset(SMALL[:k]))[0]
+            return ideal_pair(g, SMALL[:k], {loop: OpenCircleSet.from_arcs(arcs)})
+
+        # the two sets of the loop on a1 cover the circle, so the join promotes it
+        low = pair(1, (F(0), F(1, 2)))
+        high = pair(1, (F(1, 3), F(7, 6)))
+        top = pair(2, (F(1, 4), F(3, 4)))
+        views = _record(g, cycle_index(g))
+        assert pair_meet(g, [low, high]) == pair(1, (F(0), F(1, 6)), (F(1, 3), F(1, 2)))
+        assert pair_meet(g, [high, top]) == high
+        assert pair_join(g, [low, top]) == top
+        assert pair_join(g, [low, high]) == pair(2)
+        _assert_within(views)
+
+    def test_unvalidated_graphs_keep_their_two_rules(self):
+        # ``s`` has no feeders, so it joins every closure, and so does ``t``,
+        # fed only from ``s``; ``ghost`` is the range of an edge but is no
+        # vertex, so it never joins, though its one feeder is inside
+        g = _split_graph(
+            ["s", "t"], {"s->t": ("s", "t"), "a0->ghost": ("a0", "ghost"), "t->ghost": ("t", "ghost")}
+        )
+        assert "ghost" not in g.vertices
+        views = _record(g)
+        assert saturated_hereditary_closure(g, ()) == {"s", "t"}
+        assert saturated_hereditary_closure(g, {"a1"}) == {"s", "t", "a0", "a1"}
+        _assert_within(views, SMALL + ["s", "t", "ghost"])
+
+
+class TestCycleLookupAgainstTheScan:
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_chains(self, n):
+        ids = [f"v{i}" for i in range(n)]
+        g = validate(DirectedGraph(ids, _chain_edges(ids)))
+        for hereditary in enumerate_saturated_hereditary(g):
+            complement = frozenset(ids) - hereditary
+            assert cycles_outside(g, hereditary) == oracle.entrance_free_cycles(g, complement)
+        assert len(cycles_outside(g, frozenset())) == 1
+        assert cycles_outside(g, frozenset(ids)) == []
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_antichains(self, k):
+        g = antichain(k)
+        for hereditary in enumerate_saturated_hereditary(g):
+            complement = frozenset(g.vertices) - hereditary
+            assert cycles_outside(g, hereditary) == oracle.entrance_free_cycles(g, complement)
+        assert len(cycles_outside(g, frozenset())) == k
+        assert cycles_outside(g, frozenset(g.vertices)) == []
+
+    def test_the_empty_set_and_everything_on_the_split_graph(self):
+        # the scan follows feeders around the ring from each of its vertices
+        g = validate(_split_graph(size=200))
+        everything = frozenset(g.vertices)
+        assert cycles_outside(g, frozenset()) == oracle.entrance_free_cycles(g, everything)
+        assert cycles_outside(g, everything) == oracle.entrance_free_cycles(g, frozenset()) == []
+        # with f inside, the ring loses its one entry and becomes entrance-free
+        upstream = frozenset(["f"])
+        assert [len(c) for c in cycles_outside(g, upstream)] == [1, 200]
+        assert cycles_outside(g, upstream) == entrance_free_cycles(g, everything - upstream)

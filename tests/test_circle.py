@@ -91,6 +91,25 @@ class TestCanonicalForm:
         assert not s.contains(F(1, 2))
         assert s.contains(0)
 
+    def test_punctured_circle_is_the_checked_arc(self):
+        # built straight from its one canonical piece, it must equal the
+        # outside-input route, integers beside the fields included
+        rng = random.Random(211)
+        long = 10**3999 + 7
+        angles = [0, F(0), F(1, 2), F(long - 1, long), F(rng.randrange(long), long)]
+        angles += [F(rng.randrange(d), d) for d in (rng.randint(1, 720) for _ in range(40))]
+        for z in angles:
+            z = as_angle(z)
+            built, checked = punctured_circle(z), OpenCircleSet(((z, z + 1),))
+            assert built == checked and hash(built) == hash(checked)
+            assert built._pieces == checked._pieces
+
+    def test_union_of_one_set_is_that_set(self):
+        s = OpenCircleSet.from_arcs([(F(3, 4), F(9, 8)), (F(1, 4), F(1, 2))])
+        assert circle.open_union([s]) is s
+        assert circle.open_union([OpenCircleSet.full()]).is_full
+        assert circle.open_union([]) == OpenCircleSet.empty()
+
     def test_degenerate_arc_rejected(self):
         with pytest.raises(ValueError):
             OpenCircleSet.from_arcs([(F(1, 2), F(1, 2))])

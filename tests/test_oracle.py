@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction as F
 from functools import reduce
@@ -19,6 +20,8 @@ from prim_lattice import (
     check_closure_coherence,
     check_lattice_laws,
     classify_tail,
+    closure_contains,
+    entrance_free_cycles,
     enumerate_maximal_tails,
     enumerate_saturated_hereditary,
     ideal_pair,
@@ -115,6 +118,57 @@ class TestBruteForce:
                         i, j, m, u = (contains(p, vertices, cycle, z) for p in (left, right, met, joined))
                         assert m == (i or j)
                         assert u == (i and j)
+
+    def test_closure_against_the_hull_of_the_meet_up_to_the_guard(self):
+        # the closure of primitives P_i = (T_i, z_i) is the hull of their meet.
+        # The meet leaves out the union U of the tails, and on each cycle c
+        # entrance-free in U (the reference scan) it is c's circle minus the
+        # z_i of the tails whose own cycle is c.  P = (T, z) contains the meet
+        # when T misses the rest and, if T's own cycle is such a c, z is one
+        # of those z_i
+        rng = random.Random(163)
+        checked = 0
+        while checked < 6:
+            g = random_graph(rng, 16, 32)
+            if len(g.vertices) < 12:
+                continue
+            checked += 1
+            brute = brute_maximal_tails(g)
+            # each tail's own cycle, the one entrance-free in it, by the scan
+            own = {t: next(iter(entrance_free_cycles(g, t)), None) for t in brute}
+            tails = [classify_tail(g, t) for t in brute]
+            for _ in range(6):
+                prims = [
+                    PrimitiveIdeal(t, oracle_module.random_angle(rng) if t.is_cyclic else F(0))
+                    for t in rng.sample(tails, min(len(tails), rng.randint(1, 3)))
+                ]
+                union = frozenset().union(*(p.tail.vertices for p in prims))
+                removed = {c: set() for c in entrance_free_cycles(g, union)}
+                for p in prims:
+                    if own[p.tail.vertices] in removed:
+                        removed[own[p.tail.vertices]].add(p.angle)
+                grid = {F(0)} | {p.angle for p in prims} | {F(2 * k + 1, 48) for k in range(24)}
+                for tail in tails:
+                    cycle = own[tail.vertices]
+                    for z in sorted(grid) if cycle else [F(0)]:
+                        literal = tail.vertices <= union and (
+                            cycle not in removed or z in removed[cycle]
+                        )
+                        assert closure_contains(g, prims, PrimitiveIdeal(tail, z)) == literal
+
+    def test_a_tail_inside_a_union_of_tails_lies_in_one_of_them(self):
+        # a maximal tail is everything one of its vertices reaches, and each
+        # tail of the union that holds that vertex holds all it reaches
+        rng = random.Random(167)
+        for _ in range(40):
+            g = random_graph(rng, 12, 24)
+            tails = brute_maximal_tails(g)
+            for size in range(1, min(len(tails), 4) + 1):
+                for family in itertools.combinations(tails, size):
+                    union = frozenset().union(*family)
+                    for tail in tails:
+                        if tail <= union:
+                            assert any(tail <= member for member in family)
 
     def test_subset_guard(self):
         big = validate(
