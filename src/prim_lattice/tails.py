@@ -76,75 +76,57 @@ def is_maximal_tail(graph: DirectedGraph, subset) -> bool:
 
 
 def classify_tail(graph: DirectedGraph, subset) -> MaximalTail:
-    """Wrap a maximal tail as cyclic or aperiodic.
+    """Check a maximal tail given from outside and wrap it as cyclic or aperiodic.
 
-    A maximal tail carries at most one entrance-free cycle up to
-    rotation; finding more than one means the input was not a maximal
-    tail after all or an enumeration bug, so it trips an internal error.
+    The tail is what its generating component, the one Tarjan emits last
+    among its vertices, reaches.  Its cycle is that component's if it is a
+    cycle component: a path from it into any other has an entrance there.
     """
     tail = frozenset(subset)
     if not is_maximal_tail(graph, tail):
         raise NotAMaximalTailError(f"{sorted(tail)} is not a maximal tail")
-    cycles = cycles_outside(graph, frozenset(graph.vertices) - tail)
-    if not cycles:
-        return MaximalTail(tail, None, 0)
-    if len(cycles) > 1:
-        raise InternalInvariantViolation(
-            f"maximal tail {sorted(tail)} has {len(cycles)} entrance-free cycles"
-        )
-    return MaximalTail(tail, cycles[0], len(cycles[0]))
+    index = cycle_index(graph)
+    cycle = index.cycle_at.get(max(index.home[v] for v in tail))
+    return MaximalTail(tail, cycle, 0 if cycle is None else len(cycle))
 
 
 def strongly_connected_components(graph: DirectedGraph) -> list[frozenset]:
-    """Tarjan's algorithm, iteratively, in deterministic vertex order."""
+    """Tarjan's algorithm, iteratively, in id order: a component comes after all it reaches."""
+    declared = graph._out.keys()
+    # each vertex's successors not yet tried, in id order; an undeclared one is skipped
+    untried = {v: iter(sorted(declared & set(map(graph.rng, out)))) for v, out in graph._out.items()}
     index = {}
     lowlink = {}
     on_stack = set()
     stack = []
     components = []
-    counter = [0]
-    successors = {
-        v: sorted({graph.rng(e) for e in graph.out_edges(v)})
-        for v in graph.vertices
-    }
-
-    def visit(root: str) -> None:
-        work = [(root, 0)]
+    for root in graph.vertices:
+        if root in index:
+            continue
+        work = [root]
         while work:
-            v, pointer = work.pop()
-            if pointer == 0:
-                index[v] = lowlink[v] = counter[0]
-                counter[0] += 1
+            v = work[-1]
+            if v not in index:
+                index[v] = lowlink[v] = len(index)
                 stack.append(v)
                 on_stack.add(v)
-            advanced = False
-            for i in range(pointer, len(successors[v])):
-                w = successors[v][i]
+            for w in untried[v]:
                 if w not in index:
-                    work.append((v, i + 1))
-                    work.append((w, 0))
-                    advanced = True
+                    work.append(w)
                     break
                 if w in on_stack:
                     lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            if lowlink[v] == index[v]:
-                component = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    component.add(w)
-                    if w == v:
-                        break
-                components.append(frozenset(component))
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-
-    for v in graph.vertices:
-        if v not in index:
-            visit(v)
+            else:
+                work.pop()
+                if work:
+                    lowlink[work[-1]] = min(lowlink[work[-1]], lowlink[v])
+                if lowlink[v] == index[v]:
+                    component = set()
+                    while v not in component:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        component.add(w)
+                    components.append(frozenset(component))
     return components
 
 
@@ -161,7 +143,9 @@ class CycleIndex:
     its in-edges from outside it) do.
 
     ``components`` are the strongly connected components that hold an
-    edge, in Tarjan order.  ``cycles`` lists ``(cycle, vertex,
+    edge, in Tarjan order.  ``home`` maps each vertex to the Tarjan
+    position of its component, and ``cycle_at`` each cycle component's
+    position to its cycle.  ``cycles`` lists ``(cycle, vertex,
     entries)`` for each cycle component, sorted by cycle, with one of
     its vertices; ``entries`` maps each of those cycles to its entries.
     ``entered`` maps each entry to the positions in ``cycles`` of the
@@ -169,10 +153,12 @@ class CycleIndex:
     positions of the components that have no entries.
     """
 
-    __slots__ = ("components", "cycles", "entries", "entered", "unentered")
+    __slots__ = ("components", "home", "cycle_at", "cycles", "entries", "entered", "unentered")
 
-    def __init__(self, components: list, cycles: list):
+    def __init__(self, components: list, home: dict, cycle_at: dict, cycles: list):
         self.components = components
+        self.home = home
+        self.cycle_at = cycle_at
         self.cycles = cycles
         self.entries = {cycle: entries for cycle, _, entries in cycles}
         self.entered = {}
@@ -190,6 +176,7 @@ def build_cycle_index(graph: DirectedGraph) -> CycleIndex:
     home = {v: i for i, component in enumerate(tarjan) for v in component}
     edges = graph.edges
     components = []
+    cycle_at = {}
     cycles = []
     for i, component in enumerate(tarjan):
         # in-edges from inside the component; an undeclared source is in
@@ -211,9 +198,10 @@ def build_cycle_index(graph: DirectedGraph) -> CycleIndex:
         entries = frozenset(
             edges[e][0] for w in component for e in graph._in[w] if home.get(edges[e][0], i) != i
         )
-        cycles.append((Cycle(tuple(walk)), start, entries))
+        cycle_at[i] = Cycle(tuple(walk))
+        cycles.append((cycle_at[i], start, entries))
     cycles.sort(key=lambda item: item[0].edges)
-    return CycleIndex(components, cycles)
+    return CycleIndex(components, home, cycle_at, cycles)
 
 
 def cycle_index(graph: DirectedGraph) -> CycleIndex:
@@ -250,14 +238,21 @@ def cycles_outside(graph: DirectedGraph, hereditary: frozenset) -> list[Cycle]:
 def enumerate_maximal_tails(graph: DirectedGraph) -> list[MaximalTail]:
     """All maximal tails, sorted by size then vertex ids.
 
-    Assumes a validated (finite, nonempty, source-free) graph.  Two
-    components with the same forward closure reach each other and so
-    coincide: no tail comes up twice.
+    Assumes a validated (finite, nonempty, source-free) graph.  Each tail
+    is everything one component with an edge reaches, with that
+    component's cycle if it is a cycle component.  Two components with
+    the same forward closure reach each other and so coincide: no tail
+    comes up twice.  Each tail is still checked against the axioms, and
+    one that fails is a bug here, not bad input.
     """
-    tails = [
-        classify_tail(graph, reachable_ranges(graph, component))
-        for component in cycle_index(graph).components
-    ]
+    index = cycle_index(graph)
+    tails = []
+    for component in index.components:
+        vertices = reachable_ranges(graph, component)
+        if not is_maximal_tail(graph, vertices):
+            raise InternalInvariantViolation(f"component {sorted(component)} spans no maximal tail")
+        cycle = index.cycle_at.get(index.home[next(iter(component))])
+        tails.append(MaximalTail(vertices, cycle, 0 if cycle is None else len(cycle)))
     return sorted(tails, key=tail_sort_key)
 
 

@@ -752,6 +752,19 @@ class TestInternalErrors:
         assert code == 4 and out == ""
         assert err.startswith("Traceback") and f"{error.__name__}: " in err
 
+    def test_an_enumerated_tail_failing_its_check_is_a_bug(self, capsys, monkeypatch):
+        # the enumeration builds its own tails: one that fails the axioms is
+        # no bad input, while a user's non-tail still is
+        from prim_lattice import tails
+
+        everything, not_a_tail = '{"H":["u","v"],"U":[]}', '{"tail":{"vertices":["u"]},"z":"0"}'
+        code, out, err = run(capsys, "contains", "-g", G_FLOW, "-p", everything, "-r", not_a_tail)
+        assert code == 1 and out == "" and err == "error: ['u'] is not a maximal tail\n"
+        monkeypatch.setattr(tails, "is_maximal_tail", lambda graph, subset: False)
+        code, out, err = run(capsys, "tails", "-g", G_LOOP)
+        assert code == 4 and out == ""
+        assert err.startswith("Traceback") and "InternalInvariantViolation: " in err
+
 
 # each command's flags besides -h/--help and -g/--graph, and which are required
 COMMAND_FLAGS = {

@@ -192,8 +192,30 @@ class TestReport:
         assert report.mismatches == ["off by one"]
 
 
+def _census(max_vertices: int, max_edges: int):
+    """Every labelled source-free multigraph up to the given sizes, loops
+    and parallel edges included: one per multiset of (source, range) pairs
+    on ``v0 .. v(n-1)`` that feeds every vertex."""
+    for n in range(1, max_vertices + 1):
+        vertices = [f"v{i}" for i in range(n)]
+        arrows = list(itertools.product(vertices, repeat=2))
+        for k in range(n, max_edges + 1):
+            for chosen in itertools.combinations_with_replacement(arrows, k):
+                if {rng for _, rng in chosen} == set(vertices):
+                    yield validate(DirectedGraph(vertices, {f"e{i}": a for i, a in enumerate(chosen)}))
+
+
 class TestSelfCheck:
     """The ``oracle`` command's report, built in one place."""
+
+    def test_census_of_small_multigraphs(self):
+        # loops and parallel edges on every vertex, where random graphs are thinnest
+        graphs = list(_census(3, 4))
+        assert len(graphs) == 234
+        for g in graphs:
+            for seed in (0, 1):
+                report = oracle_module.self_check(g, seed, 4)
+                assert report["pass"], (g, seed, report)
 
     def test_report_shape(self, monkeypatch):
         boom = OracleReport(3, ["boom"])

@@ -141,6 +141,21 @@ class TestEnumeration:
                 assert tail.period == (len(cycles[0]) if cycles else 0)
         assert max(sizes) >= 15
 
+    def test_each_tail_is_what_its_last_tarjan_component_reaches(self):
+        """Tarjan emits a component after everything it reaches, so of the
+        components inside a maximal tail the generating one comes last; the
+        tail's cycle, when it has one, is the scan's only entrance-free cycle."""
+        rng = random.Random(61)
+        graphs = [*fixture_graphs().values(), *(random_graph(rng, 16, 32) for _ in range(40))]
+        for g in graphs:
+            components = strongly_connected_components(g)
+            position = {v: i for i, component in enumerate(components) for v in component}
+            for vertices in brute_maximal_tails(g):
+                last = components[max(position[v] for v in vertices)]
+                assert reachable_ranges(g, last) == vertices
+                cycle = classify_tail(g, vertices).cycle
+                assert ([] if cycle is None else [cycle]) == entrance_free_cycles(g, vertices)
+
     def test_sorted_by_size_then_members(self):
         for g in _corpus(seed=13):
             tails = enumerate_maximal_tails(g)
