@@ -30,7 +30,7 @@ from importlib import import_module
 
 from . import jsonio
 from .errors import GraphAlgebraError, excerpt
-from .graph import enumerate_saturated_hereditary, saturated_hereditary_lattice, validate
+from .graph import enumerate_saturated_hereditary, saturated_hereditary_lattice
 
 # ``typing.TYPE_CHECKING`` without importing ``typing`` at run time
 TYPE_CHECKING = False
@@ -267,7 +267,7 @@ def main(argv=None) -> int:
             return 0 if err.code in (0, None) else 2
     _, payload_of, *flags = _COMMANDS[args["command"]]
     try:
-        graph = validate(jsonio.graph_from_json(_load_json(args["graph"])))
+        graph = jsonio.graph_from_json(_load_json(args["graph"]))
         values = []
         for *names, _, reader in flags:
             value = args[_dest(names)]

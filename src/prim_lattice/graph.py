@@ -45,10 +45,9 @@ class DirectedGraph:
     ``edges`` may be a mapping ``id -> (source, range)`` or an iterable of
     ``(id, source, range)`` triples.  Instances are immutable by
     convention; all derived data is precomputed here, except the cycle
-    index of :mod:`.tails`, which is built on first use.  Construction only
-    rejects duplicate edge ids, everything else (dangling endpoints,
-    vertices with no feeders, emptiness) is reported by :func:`validate`
-    so that intermediate graphs can still be built and inspected.
+    index of :mod:`.tails`, which is built on first use.  Construction
+    rejects a duplicate edge id, then runs :func:`validate`, so every
+    graph is nonempty, has no dangling endpoint and no source.
     """
 
     def __init__(self, vertices: Iterable[str], edges=()) -> None:
@@ -63,19 +62,16 @@ class DirectedGraph:
                 raise GraphAlgebraError(f"duplicate edge id {excerpt(repr(eid))}")
             table[eid] = (src, rng)
         self.edges = table
+        validate(self)
         ins = {v: [] for v in self.vertices}
         outs = {v: [] for v in self.vertices}
         for eid, (src, rng) in table.items():
-            if rng in ins:
-                ins[rng].append(eid)
-            if src in outs:
-                outs[src].append(eid)
+            ins[rng].append(eid)
+            outs[src].append(eid)
         self._in = {v: tuple(es) for v, es in ins.items()}
         self._out = {v: tuple(es) for v, es in outs.items()}
-        # a saturation closure reads the in-degree of each range it reaches,
-        # and every closure holds the vertices with no feeders at all
+        # a saturation closure reads the in-degree of each range it reaches
         self._in_degree = {v: len(es) for v, es in ins.items()}
-        self._unfed = tuple(v for v, es in ins.items() if not es)
         self._cycle_index = None
 
     def src(self, edge: str) -> str:
@@ -112,7 +108,9 @@ def validate(graph: DirectedGraph) -> DirectedGraph:
     """Check that ``graph`` is nonempty, well formed and source-free.
 
     Returns the graph itself so calls can be chained.  "Source-free"
-    means every vertex receives at least one edge.
+    means every vertex receives at least one edge.  Reads only
+    ``vertices`` and ``edges``, since construction calls it before the
+    adjacency tables exist.
     """
     if not graph.vertices:
         raise EmptyGraphError("graph has no vertices")
@@ -120,8 +118,9 @@ def validate(graph: DirectedGraph) -> DirectedGraph:
     for eid, (src, rng) in graph.edges.items():
         if src not in declared or rng not in declared:
             raise DanglingEndpointError(eid)
+    ranges = {rng for _, rng in graph.edges.values()}
     for v in graph.vertices:
-        if not graph.in_edges(v):
+        if v not in ranges:
             raise SourceVertexError(v)
     return graph
 
@@ -171,15 +170,13 @@ def _saturation_fixpoint(graph: DirectedGraph, start: frozenset) -> frozenset:
     hereditary.
     """
     edges, in_degree = graph.edges, graph._in_degree
-    # a vertex with no feeders at all is saturated vacuously
-    closure = set(start).union(graph._unfed)
+    closure = set(start)
     todo = list(closure)
     waiting = {}
     while todo:
         for e in graph._out[todo.pop()]:
             r = edges[e][1]
-            # a range the graph does not declare can never join
-            if r in closure or r not in in_degree:
+            if r in closure:
                 continue
             waiting[r] = count = waiting.get(r, in_degree[r]) - 1
             if not count:
@@ -234,11 +231,9 @@ def saturated_hereditary_lattice(
             if not any(m < above for m in minimal):
                 minimal.append(above)
                 covers.append((low, position[above]))
-    rank = sorted(range(len(found)), key=lambda i: (len(found[i]), tuple(sorted(found[i]))))
-    index = [0] * len(found)
-    for i, old in enumerate(rank):
-        index[old] = i
-    return [found[i] for i in rank], sorted((index[a], index[b]) for a, b in covers)
+    ordered = sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
+    rank = {s: i for i, s in enumerate(ordered)}
+    return ordered, sorted((rank[found[a]], rank[found[b]]) for a, b in covers)
 
 
 def enumerate_saturated_hereditary(graph: DirectedGraph) -> list[frozenset]:
@@ -340,27 +335,28 @@ def entrance_free_cycles(graph: DirectedGraph, subset: Iterable[str]) -> list[Cy
     """All cycles in ``subset`` without entrance, one per rotation class.
 
     On an entrance-free cycle every vertex has exactly one feeder from
-    inside ``subset``, so following unique feeders backwards from each
-    vertex either fails fast or traces the cycle through that vertex.
+    inside ``subset``, so a walk back along unique feeders that reaches
+    the cycle goes round it and closes on a vertex of its own.  A walk
+    stops at a vertex without exactly one feeder, or at one that an
+    earlier walk passed, so each vertex is passed once and the scan costs
+    O(|subset| + in-edges of the subset).
     """
     inside = frozenset(subset)
     feeders = {
         v: [e for e in graph.in_edges(v) if graph.src(e) in inside] for v in inside
     }
-    found = set()
+    found = []
+    passed = set()
     for start in sorted(inside):
+        # each vertex of this walk, with the position of its feeder in ``edges``
+        walk = {}
         edges = []
-        seen = set()
         v = start
-        while True:
-            if v in seen:
-                if v == start:
-                    found.add(Cycle(tuple(edges)))
-                break
-            if len(feeders[v]) != 1:
-                break
-            seen.add(v)
-            edge = feeders[v][0]
-            edges.append(edge)
-            v = graph.src(edge)
+        while v not in passed and len(feeders[v]) == 1:
+            passed.add(v)
+            walk[v] = len(edges)
+            edges.append(feeders[v][0])
+            v = graph.src(edges[-1])
+        if v in walk:
+            found.append(Cycle(tuple(edges[walk[v] :])))
     return sorted(found)

@@ -38,7 +38,6 @@ from .tails import (
     cycle_index,
     cycles_outside,
     enumerate_maximal_tails,
-    tail_sort_key,
 )
 
 class PrimitiveIdeal(Record):
@@ -111,8 +110,7 @@ def ideal_pair(graph: DirectedGraph, vertices: Iterable, assignment) -> IdealPai
             raise GraphAlgebraError(f"cycle {excerpt(str(cycle.edges))} needs an open circle set")
         if not value.is_proper():
             raise GraphAlgebraError(f"cycle {excerpt(str(cycle.edges))} carries the full circle")
-    ordered = tuple(sorted(keyed.items(), key=lambda kv: kv[0].edges))
-    return IdealPair(inside, ordered)
+    return IdealPair(inside, tuple((cycle, keyed[cycle]) for cycle in expected))
 
 
 def zero_ideal(graph: DirectedGraph) -> IdealPair:
@@ -348,7 +346,8 @@ def hull(graph: DirectedGraph, pair: IdealPair) -> Hull:
         else:
             allowed = ClosedCircleSet.full()
         entries.append(HullEntry(tail, allowed))
-    return Hull(tuple(sorted(entries, key=lambda e: tail_sort_key(e.tail))))
+    # the entries keep the tails' order: by size, then vertex ids
+    return Hull(tuple(entries))
 
 
 def hull_to_pair(graph: DirectedGraph, shape: Hull) -> IdealPair:

@@ -19,7 +19,6 @@ from .graph import (
     DirectedGraph,
     enumerate_saturated_hereditary,
     entrance_free_cycles,
-    validate,
 )
 from .lattice import (
     IdealPair,
@@ -232,7 +231,7 @@ def check_closure_coherence(
 def random_graph(
     rng: random.Random, max_vertices: int = 5, max_edges: int = 10
 ) -> DirectedGraph:
-    """A random validated graph; vertices without feeders get a loop."""
+    """A random source-free graph: vertices without feeders get a loop."""
     count = rng.randint(1, max_vertices)
     vertices = [f"v{i}" for i in range(count)]
     edges = {}
@@ -242,7 +241,7 @@ def random_graph(
     for i, v in enumerate(vertices):
         if v not in fed:
             edges[f"loop{i}"] = (v, v)
-    return validate(DirectedGraph(vertices, edges))
+    return DirectedGraph(vertices, edges)
 
 
 def random_angle(rng: random.Random, max_denominator: int = 12) -> Fraction:

@@ -92,9 +92,8 @@ def classify_tail(graph: DirectedGraph, subset) -> MaximalTail:
 
 def strongly_connected_components(graph: DirectedGraph) -> list[frozenset]:
     """Tarjan's algorithm, iteratively, in id order: a component comes after all it reaches."""
-    declared = graph._out.keys()
-    # each vertex's successors not yet tried, in id order; an undeclared one is skipped
-    untried = {v: iter(sorted(declared & set(map(graph.rng, out)))) for v, out in graph._out.items()}
+    # each vertex's successors not yet tried, in id order
+    untried = {v: iter(sorted(set(map(graph.rng, out)))) for v, out in graph._out.items()}
     index = {}
     lowlink = {}
     on_stack = set()
@@ -179,9 +178,7 @@ def build_cycle_index(graph: DirectedGraph) -> CycleIndex:
     cycle_at = {}
     cycles = []
     for i, component in enumerate(tarjan):
-        # in-edges from inside the component; an undeclared source is in
-        # no component, and in no set, so it is never an entrance
-        inner = {v: [e for e in graph._in[v] if home.get(edges[e][0]) == i] for v in component}
+        inner = {v: [e for e in graph._in[v] if home[edges[e][0]] == i] for v in component}
         if any(inner.values()):
             components.append(component)
         if not all(len(found) == 1 for found in inner.values()):
@@ -196,7 +193,7 @@ def build_cycle_index(graph: DirectedGraph) -> CycleIndex:
             if v == start:
                 break
         entries = frozenset(
-            edges[e][0] for w in component for e in graph._in[w] if home.get(edges[e][0], i) != i
+            edges[e][0] for w in component for e in graph._in[w] if home[edges[e][0]] != i
         )
         cycle_at[i] = Cycle(tuple(walk))
         cycles.append((cycle_at[i], start, entries))
@@ -238,8 +235,7 @@ def cycles_outside(graph: DirectedGraph, hereditary: frozenset) -> list[Cycle]:
 def enumerate_maximal_tails(graph: DirectedGraph) -> list[MaximalTail]:
     """All maximal tails, sorted by size then vertex ids.
 
-    Assumes a validated (finite, nonempty, source-free) graph.  Each tail
-    is everything one component with an edge reaches, with that
+    Each tail is everything one component with an edge reaches, with that
     component's cycle if it is a cycle component.  Two components with
     the same forward closure reach each other and so coincide: no tail
     comes up twice.  Each tail is still checked against the axioms, and

@@ -1,0 +1,42 @@
+"""Bounded-exhaustive oracle census: every small source-free multigraph.
+
+Runs ``oracle.self_check`` (seeds 0 and 1, four samples each) on every
+labelled source-free multigraph with at most three vertices and six
+edges, or with four vertices and at most five edges.  It takes about a
+minute, so pytest does not collect it.  Run it from the repository root:
+
+    PYTHONPATH=src python tests/census.py
+"""
+
+from __future__ import annotations
+
+import sys
+import time
+
+from fixtures import census_graphs
+from prim_lattice.oracle import self_check
+
+# the number of graphs this generator yields in that scope
+EXPECTED = 5461
+
+
+def main() -> int:
+    started = time.perf_counter()
+    graphs = [*census_graphs(3, 6), *(g for g in census_graphs(4, 5) if len(g.vertices) == 4)]
+    if len(graphs) != EXPECTED:
+        print(f"{len(graphs)} graphs, expected {EXPECTED}", file=sys.stderr)
+        return 1
+    failed = 0
+    for g in graphs:
+        for seed in (0, 1):
+            report = self_check(g, seed, 4)
+            if not report["pass"]:
+                failed += 1
+                print(f"mismatch at seed {seed} on {g!r}: {report}", file=sys.stderr)
+    seconds = time.perf_counter() - started
+    print(f"{len(graphs)} graphs, {2 * len(graphs)} oracle runs, {failed} failed, {seconds:.1f} s")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

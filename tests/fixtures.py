@@ -5,6 +5,8 @@ Graphs are immutable, so these are shared module-level constants.
 
 from __future__ import annotations
 
+import itertools
+
 from prim_lattice.graph import DirectedGraph, validate
 
 # one vertex with one loop
@@ -42,3 +44,16 @@ def cascade(n: int) -> DirectedGraph:
     edges = {"loop": (ids[-1], ids[-1])}
     edges.update({f"e{v}": (ids[i + 1], v) for i, v in enumerate(ids[:-1])})
     return validate(DirectedGraph(ids, edges))
+
+
+def census_graphs(max_vertices: int, max_edges: int):
+    """Every labelled source-free multigraph up to the given sizes, loops
+    and parallel edges included: one per multiset of (source, range) pairs
+    on ``v0 .. v(n-1)`` that feeds every vertex."""
+    for n in range(1, max_vertices + 1):
+        vertices = [f"v{i}" for i in range(n)]
+        arrows = list(itertools.product(vertices, repeat=2))
+        for k in range(n, max_edges + 1):
+            for chosen in itertools.combinations_with_replacement(arrows, k):
+                if {rng for _, rng in chosen} == set(vertices):
+                    yield DirectedGraph(vertices, {f"e{i}": a for i, a in enumerate(chosen)})

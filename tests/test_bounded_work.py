@@ -15,8 +15,10 @@ from fractions import Fraction as F
 import pytest
 
 from prim_lattice import (
+    DanglingEndpointError,
     DirectedGraph,
     OpenCircleSet,
+    SourceVertexError,
     entrance_free_cycles,
     enumerate_saturated_hereditary,
     ideal_pair,
@@ -143,18 +145,26 @@ class TestWorkBoundedByTheArguments:
         assert pair_join(g, [low, high]) == pair(2)
         _assert_within(views)
 
-    def test_unvalidated_graphs_keep_their_two_rules(self):
-        # ``s`` has no feeders, so it joins every closure, and so does ``t``,
-        # fed only from ``s``; ``ghost`` is the range of an edge but is no
-        # vertex, so it never joins, though its one feeder is inside
-        g = _split_graph(
-            ["s", "t"], {"s->t": ("s", "t"), "a0->ghost": ("a0", "ghost"), "t->ghost": ("t", "ghost")}
-        )
-        assert "ghost" not in g.vertices
-        views = _record(g)
-        assert saturated_hereditary_closure(g, ()) == {"s", "t"}
-        assert saturated_hereditary_closure(g, {"a1"}) == {"s", "t", "a0", "a1"}
-        _assert_within(views, SMALL + ["s", "t", "ghost"])
+    def test_graphs_with_sources_or_undeclared_endpoints_are_not_built(self):
+        # no kernel keeps a rule for a vertex with no feeders or an edge into
+        # a vertex the graph does not declare: construction turns both away
+        cases = [
+            (
+                lambda: _split_graph(
+                    ["s", "t"],
+                    {"s->t": ("s", "t"), "a0->ghost": ("a0", "ghost"), "t->ghost": ("t", "ghost")},
+                ),
+                DanglingEndpointError,
+            ),
+            (
+                lambda: DirectedGraph(["s", "t"], {"a": ("s", "t"), "b": ("t", "s"), "c": ("t", "ghost")}),
+                DanglingEndpointError,
+            ),
+            (lambda: DirectedGraph(["s", "v"], {"a": ("s", "v")}), SourceVertexError),
+        ]
+        for build, error in cases:
+            with pytest.raises(error):
+                build()
 
 
 class TestCycleLookupAgainstTheScan:
@@ -178,12 +188,29 @@ class TestCycleLookupAgainstTheScan:
         assert cycles_outside(g, frozenset(g.vertices)) == []
 
     def test_the_empty_set_and_everything_on_the_split_graph(self):
-        # the scan follows feeders around the ring from each of its vertices
-        g = validate(_split_graph(size=200))
+        g = validate(_split_graph())
         everything = frozenset(g.vertices)
         assert cycles_outside(g, frozenset()) == oracle.entrance_free_cycles(g, everything)
         assert cycles_outside(g, everything) == oracle.entrance_free_cycles(g, frozenset()) == []
         # with f inside, the ring loses its one entry and becomes entrance-free
         upstream = frozenset(["f"])
-        assert [len(c) for c in cycles_outside(g, upstream)] == [1, 200]
+        assert [len(c) for c in cycles_outside(g, upstream)] == [1, LARGE]
         assert cycles_outside(g, upstream) == entrance_free_cycles(g, everything - upstream)
+
+    def test_the_scan_passes_each_vertex_once(self):
+        # one ``src`` call per in-edge to find the feeders, then at most one
+        # per vertex to walk them: never once per vertex per walk round the ring
+        g = _split_graph()
+        calls = []
+
+        def counted(edge):
+            calls.append(edge)
+            return DirectedGraph.src(g, edge)
+
+        g.src = counted
+        for inside in (frozenset(g.vertices), frozenset(g.vertices) - {"f"}):
+            calls.clear()
+            found = entrance_free_cycles(g, inside)
+            in_edges = sum(len(g.in_edges(v)) for v in inside)
+            assert len(calls) <= len(inside) + in_edges
+        assert [len(c) for c in found] == [1, LARGE]

@@ -95,12 +95,6 @@ class TestAgainstTheScan:
             ]
             assert cycle_index(g).components == with_edge
 
-    def test_an_edge_into_an_undeclared_vertex_is_skipped(self):
-        # an unvalidated graph, as a library caller may build one
-        g = DirectedGraph(["s", "t"], {"a": ("s", "t"), "b": ("t", "s"), "c": ("t", "ghost")})
-        assert strongly_connected_components(g) == [frozenset({"s", "t"})]
-        assert [c.edges for c in cycles_outside(g, frozenset())] == [("a", "b")]
-
 
 class TestBuiltOnce:
     def test_one_tarjan_run_for_many_lattice_calls(self, monkeypatch):

@@ -13,6 +13,7 @@ from prim_lattice import (
     DanglingEndpointError,
     DirectedGraph,
     EmptyGraphError,
+    GraphAlgebraError,
     NotACycleError,
     SourceVertexError,
     UnknownVertexError,
@@ -50,7 +51,7 @@ def _subsets(graph):
 
 class TestConstruction:
     def test_vertices_sorted_and_deduped(self):
-        g = DirectedGraph(["b", "a", "b"], {})
+        g = DirectedGraph(["b", "a", "b"], {"la": ("a", "a"), "lb": ("b", "b")})
         assert g.vertices == ("a", "b")
 
     def test_duplicate_edge_id_rejected(self):
@@ -83,19 +84,30 @@ class TestValidate:
 
     def test_source_vertex_detected(self):
         # dropping the u loop leaves u with no feeder
-        g = DirectedGraph(["u", "v"], {"b": ("v", "v"), "c": ("u", "v")})
         with pytest.raises(SourceVertexError) as err:
-            validate(g)
+            DirectedGraph(["u", "v"], {"b": ("v", "v"), "c": ("u", "v")})
         assert err.value.vertex == "u"
 
     def test_dangling_endpoint_detected(self):
-        g = DirectedGraph(["v"], {"a": ("v", "w")})
         with pytest.raises(DanglingEndpointError):
-            validate(g)
+            DirectedGraph(["v"], {"a": ("v", "w")})
 
     def test_empty_graph_detected(self):
         with pytest.raises(EmptyGraphError):
-            validate(DirectedGraph([], {}))
+            DirectedGraph([], {})
+
+    def test_first_error_wins_in_order(self):
+        # a duplicate id, then emptiness, then the first dangling edge by id,
+        # then the first source by id
+        cases = [
+            ([], [("a", "v", "w"), ("a", "v", "w")], "duplicate edge id 'a'"),
+            ([], [("a", "v", "w")], "graph has no vertices"),
+            (["u", "v"], [("b", "u", "x"), ("a", "y", "u")], "edge 'a' references an undeclared vertex"),
+            (["w", "u", "v"], [("a", "w", "w")], "vertex 'u' has no incoming edge"),
+        ]
+        for vertices, edges, message in cases:
+            with pytest.raises(GraphAlgebraError, match=f"^{message}$"):
+                DirectedGraph(vertices, edges)
 
 
 class TestClosures:
@@ -108,12 +120,6 @@ class TestClosures:
         assert saturated_hereditary_closure(g_flow, {"v"}) == {"u", "v"}
         assert saturated_hereditary_closure(g_flow, {"u"}) == {"u"}
         assert saturated_hereditary_closure(g_loop, set()) == set()
-
-    def test_unfed_vertices_join_on_an_unvalidated_graph(self):
-        # "s" has no feeders, so it is saturated vacuously and then feeds "v"
-        g = DirectedGraph(["s", "v"], {"a": ("s", "v")})
-        assert saturated_hereditary_closure(g, ()) == {"s", "v"}
-        assert saturated_hereditary_closure(g, {"v"}) == {"s", "v"}
 
     def test_is_saturated_hereditary(self):
         g = g_flow

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import itertools
 import random
 from fractions import Fraction as F
 from functools import reduce
+from pathlib import Path
 
 import pytest
 
@@ -35,7 +37,7 @@ from prim_lattice import (
     validate,
     zero_ideal,
 )
-from fixtures import fixture_graphs, g_double, g_flow, g_loop
+from fixtures import census_graphs, fixture_graphs, g_double, g_flow, g_loop
 from prim_lattice import oracle as oracle_module
 
 
@@ -192,17 +194,17 @@ class TestReport:
         assert report.mismatches == ["off by one"]
 
 
-def _census(max_vertices: int, max_edges: int):
-    """Every labelled source-free multigraph up to the given sizes, loops
-    and parallel edges included: one per multiset of (source, range) pairs
-    on ``v0 .. v(n-1)`` that feeds every vertex."""
-    for n in range(1, max_vertices + 1):
-        vertices = [f"v{i}" for i in range(n)]
-        arrows = list(itertools.product(vertices, repeat=2))
-        for k in range(n, max_edges + 1):
-            for chosen in itertools.combinations_with_replacement(arrows, k):
-                if {rng for _, rng in chosen} == set(vertices):
-                    yield validate(DirectedGraph(vertices, {f"e{i}": a for i, a in enumerate(chosen)}))
+def test_the_oracle_reads_no_cycle_index():
+    # the oracle checks the fast paths, so it must not reach the cycle index
+    # they read, by an import or through a module attribute
+    tree = ast.parse(Path(oracle_module.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.rpartition(".")[2] for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert not names & {"cycle_index", "cycles_outside", "build_cycle_index", "CycleIndex"}
 
 
 class TestSelfCheck:
@@ -210,7 +212,7 @@ class TestSelfCheck:
 
     def test_census_of_small_multigraphs(self):
         # loops and parallel edges on every vertex, where random graphs are thinnest
-        graphs = list(_census(3, 4))
+        graphs = list(census_graphs(3, 4))
         assert len(graphs) == 234
         for g in graphs:
             for seed in (0, 1):
