@@ -179,15 +179,13 @@ def _within(pieces, cover) -> bool:
     return True
 
 
-def _holds(pieces, angle, joins) -> bool:
-    """Whether the angle or the angle one turn up is in a piece (on it, for ``<=``)."""
-    theta = as_angle(angle)
-    n, d = theta.numerator, theta.denominator
-    return any(
-        joins(ln * d, t * ld) and joins(t * hd, hn * d)
-        for _, _, ln, ld, hn, hd in pieces
-        for t in (n, n + d)
-    )
+def _holds(pieces, n: int, d: int, joins) -> bool:
+    """Whether the angle ``n/d`` in ``[0, 1)`` or one turn up is in a piece (on it, for ``<=``)."""
+    for _, _, ln, ld, hn, hd in pieces:
+        for t in (n, n + d):
+            if joins(ln * d, t * ld) and joins(t * hd, hn * d):
+                return True
+    return False
 
 
 def _trusted(cls, pieces, is_full: bool = False):
@@ -235,7 +233,11 @@ class OpenCircleSet(Record):
         return not self.is_full
 
     def contains(self, angle) -> bool:
-        return self.is_full or _holds(self._pieces, angle, lt)
+        return self.is_full or _holds(self._pieces, *as_angle(angle).as_integer_ratio(), lt)
+
+    def contains_point(self, n: int, d: int) -> bool:
+        """Whether the set holds the angle ``n/d``, given reduced and in ``[0, 1)``."""
+        return self.is_full or _holds(self._pieces, n, d, lt)
 
     def union(self, other: "OpenCircleSet") -> "OpenCircleSet":
         return open_union((self, other))
@@ -321,7 +323,7 @@ class ClosedCircleSet(Record):
         return not self.is_full and not self.arcs and not self.points
 
     def contains(self, angle) -> bool:
-        return self.is_full or _holds(self._pieces, angle, le)
+        return self.is_full or _holds(self._pieces, *as_angle(angle).as_integer_ratio(), le)
 
     def complement(self) -> OpenCircleSet:
         if self.is_full:

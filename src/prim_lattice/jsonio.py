@@ -4,7 +4,8 @@ Printing followed by parsing is the identity on canonical values, and
 printing is deterministic: keys are sorted and all orderings are the
 canonical ones chosen by the constructing modules.  Parsing is strict:
 lists must be JSON arrays, vertex and edge ids distinct JSON strings,
-and angles fraction strings or integers.
+angles fraction strings or integers, and an object may hold no key its
+reader does not know.
 """
 
 from __future__ import annotations
@@ -33,6 +34,13 @@ def _array(value, what: str) -> list:
     if not isinstance(value, list):
         raise GraphAlgebraError(f"{what} must be a JSON array, not {type(value).__name__}")
     return value
+
+
+def _keys(data: dict, known: tuple, what: str) -> None:
+    """Reject the first key of ``data`` that is not in ``known``."""
+    for key in data:
+        if key not in known:
+            raise GraphAlgebraError(f"{what} has an unknown key {excerpt(repr(key))}")
 
 
 def _ids(value, what: str) -> list:
@@ -84,6 +92,11 @@ def graph_from_json(data) -> DirectedGraph:
         raise GraphAlgebraError(
             "'edges' must be an array of objects with 'id', 'src' and 'rng' fields"
         )
+    _keys(data, ("vertices", "edges"), "graph JSON")
+    # every edge holds its three fields, so only one with more holds another key
+    if sum(map(len, edges)) > 3 * len(edges):
+        for entry in edges:
+            _keys(entry, ("id", "src", "rng"), "an edge")
     rows = [_ids([entry["id"], entry["src"], entry["rng"]], "an edge") for entry in edges]
     vertices = _ids(data.get("vertices", []), "'vertices'")
     seen = set()
@@ -138,6 +151,7 @@ def closed_set_from_json(data) -> ClosedCircleSet:
         return ClosedCircleSet.empty()
     if not isinstance(data, dict):
         raise GraphAlgebraError("closed circle set JSON must be 'full', 'empty' or an object")
+    _keys(data, ("arcs", "points"), "a closed circle set")
     arcs = tuple(_arcs(data.get("arcs", []), "closed"))
     points = tuple(_angle(p) for p in _array(data.get("points", []), "'points'"))
     return ClosedCircleSet(arcs, points)
@@ -157,6 +171,7 @@ def tail_from_json(graph: DirectedGraph, data) -> MaximalTail:
 
     if not isinstance(data, dict) or "vertices" not in data:
         raise GraphAlgebraError("a maximal tail must be an object with a 'vertices' field")
+    _keys(data, ("vertices", "kind", "cycle", "period"), "a maximal tail")
     tail = classify_tail(graph, _ids(data["vertices"], "a tail's 'vertices'"))
     shown = excerpt(str(data["vertices"]))
     declared_kind = data.get("kind")
@@ -191,6 +206,7 @@ def prim_from_json(graph: DirectedGraph, data) -> PrimitiveIdeal:
 
     if not isinstance(data, dict) or not {"tail", "z"} <= data.keys():
         raise GraphAlgebraError("a primitive ideal must be an object with 'tail' and 'z' fields")
+    _keys(data, ("tail", "z"), "a primitive ideal")
     return PrimitiveIdeal(tail_from_json(graph, data["tail"]), _angle(data["z"]))
 
 
@@ -213,12 +229,14 @@ def pair_from_json(graph: DirectedGraph, data) -> IdealPair:
 
     if not isinstance(data, dict):
         raise GraphAlgebraError("an ideal pair must be an object with 'H' and 'U' fields")
+    _keys(data, ("H", "U"), "an ideal pair")
     assignment = []
     for entry in _array(data.get("U", []), "'U'"):
         if not isinstance(entry, dict) or not {"cycle", "set"} <= entry.keys():
             raise GraphAlgebraError(
                 "each 'U' entry must be an object with 'cycle' and 'set' fields"
             )
+        _keys(entry, ("cycle", "set"), "a 'U' entry")
         cycle = tuple(_ids(entry["cycle"], "a 'U' entry's 'cycle'"))
         assignment.append((cycle, open_set_from_json(entry["set"])))
     return ideal_pair(graph, _ids(data.get("H", []), "'H'"), assignment)
@@ -253,6 +271,7 @@ def hull_from_json(graph: DirectedGraph, data) -> Hull:
             raise MalformedHullError(
                 "each hull stratum must be an object with 'tail' and 'allowed' fields"
             )
+        _keys(item, ("tail", "allowed"), "a hull stratum")
         try:
             tail = tail_from_json(graph, item["tail"])
         except NotAMaximalTailError as err:

@@ -45,10 +45,10 @@ class PrimitiveIdeal(Record):
 
     ``angle`` parameterises the point as a fraction of a full turn.  An
     aperiodic tail carries a single primitive ideal, so its angle must
-    be zero.
+    be zero.  ``_point`` keeps the angle's numerator and denominator.
     """
 
-    __slots__ = ("tail", "angle")
+    __slots__ = ("tail", "angle", "_point")
 
     def __init__(self, tail: MaximalTail, angle: Fraction):
         theta = as_angle(angle)
@@ -56,6 +56,7 @@ class PrimitiveIdeal(Record):
             raise GraphAlgebraError("an aperiodic tail admits only the angle-zero ideal")
         set_field(self, "tail", tail)
         set_field(self, "angle", theta)
+        set_field(self, "_point", theta.as_integer_ratio())
 
 
 class IdealPair(Record):
@@ -272,14 +273,20 @@ def contained_in_prim(graph: DirectedGraph, pair: IdealPair, prim: PrimitiveIdea
     """Whether the ideal of ``pair`` lies inside the primitive ideal.
 
     The vertex set must avoid the tail, and if the tail is cyclic with
-    its cycle constrained by ``pair``, the point must avoid that set.
+    its cycle constrained by ``pair``, the point must avoid that set.  The
+    vertex set, saturated hereditary, avoids the tail exactly when it misses
+    the tail's generator: its complement is a union of forward-closed tails.
     """
+    index = cycle_index(graph)
     tail = prim.tail
-    if not pair.vertices.isdisjoint(tail.vertices):
+    if index.vertex[index.generator(tail)] in pair.vertices:
         return False
-    # an aperiodic tail has no cycle, so no key matches
-    key = tail.cycle.edges if tail.is_cyclic else None
-    return not any(c.edges == key and value.contains(prim.angle) for c, value in pair.cycle_sets)
+    if tail.cycle is not None:
+        key = tail.cycle.edges
+        for cycle, value in pair.cycle_sets:
+            if cycle.edges == key:
+                return not value.contains_point(*prim._point)
+    return True
 
 
 def closure_contains(
@@ -291,21 +298,20 @@ def closure_contains(
     the target tail is cyclic with its cycle entrance-free in that
     union, the target point must lie in the closure of the points
     attached to the same tail.  A maximal tail lies in a union of tails
-    exactly when it lies in one of them: the union holds a vertex of the
-    component that generates it, so one tail does, and a tail is forward
-    closed.  So the union is never built.
+    exactly when one of them, a *holder*, holds its generator, since a
+    tail is forward closed.  A holder generated elsewhere enters the
+    target's cycle through an entry, which it holds, and a tail holding an
+    entry is a holder.  So the point matters only when every holder is
+    the target's own tail, and finitely many points are their own closure.
     """
-    tail = target.tail
-    if not any(tail.vertices <= prim.tail.vertices for prim in prims):
-        return False
-    # the tail lies in the union, so its cycle is entrance-free there
-    # exactly when no tail of the union holds one of the cycle's entries
-    if tail.is_cyclic:
-        entries = cycle_index(graph).entries[tail.cycle]
-        if all(entries.isdisjoint(prim.tail.vertices) for prim in prims):
-            # finitely many points are their own closure, and angles are canonical
-            return any(prim.angle == target.angle and prim.tail == tail for prim in prims)
-    return True
+    index = cycle_index(graph)
+    reach, home = index.reach, index.generator(target.tail)
+    bit, point = 1 << home, target._point
+    for prim in prims:
+        at = index.generator(prim.tail)
+        if at == home and prim._point == point or at != home and reach[at] & bit:
+            return True
+    return False
 
 
 class HullEntry(Record):

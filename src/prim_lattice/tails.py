@@ -31,15 +31,17 @@ class MaximalTail(Record):
 
     ``cycle`` is the unique entrance-free cycle inside the tail when one
     exists (the cyclic case, ``period`` is its length) and ``None``
-    otherwise (the aperiodic case, ``period`` is zero).
+    otherwise (the aperiodic case, ``period`` is zero).  ``_home`` is no
+    field: the Tarjan position of the generating component, when known.
     """
 
-    __slots__ = ("vertices", "cycle", "period")
+    __slots__ = ("vertices", "cycle", "period", "_home")
 
-    def __init__(self, vertices: frozenset, cycle: Cycle | None, period: int):
+    def __init__(self, vertices: frozenset, cycle: Cycle | None, period: int, _home=None):
         set_field(self, "vertices", vertices)
         set_field(self, "cycle", cycle)
         set_field(self, "period", period)
+        set_field(self, "_home", _home)
 
     @property
     def is_cyclic(self) -> bool:
@@ -86,8 +88,9 @@ def classify_tail(graph: DirectedGraph, subset) -> MaximalTail:
     if not is_maximal_tail(graph, tail):
         raise NotAMaximalTailError(f"{sorted(tail)} is not a maximal tail")
     index = cycle_index(graph)
-    cycle = index.cycle_at.get(max(index.home[v] for v in tail))
-    return MaximalTail(tail, cycle, 0 if cycle is None else len(cycle))
+    home = max(index.home[v] for v in tail)
+    cycle = index.cycle_at.get(home)
+    return MaximalTail(tail, cycle, 0 if cycle is None else len(cycle), home)
 
 
 def strongly_connected_components(graph: DirectedGraph) -> list[frozenset]:
@@ -130,7 +133,8 @@ def strongly_connected_components(graph: DirectedGraph) -> list[frozenset]:
 
 
 class CycleIndex:
-    """The cycles that can be entrance-free in a forward-closed set.
+    """Components in Tarjan order, what each reaches, and the cycles that can
+    be entrance-free in a forward-closed set.
 
     Let S be forward closed and C an entrance-free cycle of S.  S holds
     everything C reaches, so a path from anywhere in C's strongly
@@ -141,25 +145,30 @@ class CycleIndex:
     when its vertices lie in S and none of its *entries* (the sources of
     its in-edges from outside it) do.
 
-    ``components`` are the strongly connected components that hold an
-    edge, in Tarjan order.  ``home`` maps each vertex to the Tarjan
-    position of its component, and ``cycle_at`` each cycle component's
-    position to its cycle.  ``cycles`` lists ``(cycle, vertex,
-    entries)`` for each cycle component, sorted by cycle, with one of
-    its vertices; ``entries`` maps each of those cycles to its entries.
-    ``entered`` maps each entry to the positions in ``cycles`` of the
-    components it enters, in order, and ``unentered`` lists the
+    ``home`` maps each vertex to the Tarjan position of its component.
+    Each position has one of its vertices in ``vertex`` and in ``reach`` a
+    bitset (a Python int) of the positions its component reaches, its own
+    included: so one tail lies in another exactly when the other's
+    generator has the first's bit.  ``components`` are the components that
+    hold an edge, in Tarjan order, and ``cycle_at`` maps each cycle
+    component's position to its cycle.  ``cycles`` lists ``(cycle, vertex,
+    entries)`` for each cycle component, sorted by cycle, with one of its
+    vertices.  ``entered`` maps each entry to the positions in ``cycles``
+    of the components it enters, in order, and ``unentered`` lists the
     positions of the components that have no entries.
     """
 
-    __slots__ = ("components", "home", "cycle_at", "cycles", "entries", "entered", "unentered")
+    __slots__ = (
+        "components", "home", "vertex", "reach", "cycle_at", "cycles", "entered", "unentered"
+    )
 
-    def __init__(self, components: list, home: dict, cycle_at: dict, cycles: list):
+    def __init__(self, components, home, vertex, reach, cycle_at, cycles):
         self.components = components
         self.home = home
+        self.vertex = vertex
+        self.reach = reach
         self.cycle_at = cycle_at
         self.cycles = cycles
-        self.entries = {cycle: entries for cycle, _, entries in cycles}
         self.entered = {}
         self.unentered = []
         for i, (_, _, entries) in enumerate(cycles):
@@ -168,16 +177,28 @@ class CycleIndex:
             if not entries:
                 self.unentered.append(i)
 
+    def generator(self, tail: MaximalTail) -> int:
+        """The position of the component that generates ``tail``: the one it keeps,
+        or else its vertices' highest, as Tarjan emits a component after all it reaches."""
+        home = tail._home
+        return max(map(self.home.__getitem__, tail.vertices)) if home is None else home
+
 
 def build_cycle_index(graph: DirectedGraph) -> CycleIndex:
-    """One Tarjan run and one pass over the in-edges: O(V+E) plus sorting."""
+    """One Tarjan run and one pass over the edges, with at most one bitset OR
+    per edge: O(V+E) steps plus sorting."""
     tarjan = strongly_connected_components(graph)
     home = {v: i for i, component in enumerate(tarjan) for v in component}
     edges = graph.edges
     components = []
+    reach = []
     cycle_at = {}
     cycles = []
     for i, component in enumerate(tarjan):
+        # everything a component reaches was emitted before it, so has its bits
+        reach.append(1 << i)
+        for j in {home[edges[e][1]] for v in component for e in graph._out[v]}:
+            reach[i] |= reach[j]
         inner = {v: [e for e in graph._in[v] if home[edges[e][0]] == i] for v in component}
         if any(inner.values()):
             components.append(component)
@@ -198,7 +219,8 @@ def build_cycle_index(graph: DirectedGraph) -> CycleIndex:
         cycle_at[i] = Cycle(tuple(walk))
         cycles.append((cycle_at[i], start, entries))
     cycles.sort(key=lambda item: item[0].edges)
-    return CycleIndex(components, home, cycle_at, cycles)
+    vertex = [min(component) for component in tarjan]
+    return CycleIndex(components, home, vertex, reach, cycle_at, cycles)
 
 
 def cycle_index(graph: DirectedGraph) -> CycleIndex:
@@ -247,8 +269,9 @@ def enumerate_maximal_tails(graph: DirectedGraph) -> list[MaximalTail]:
         vertices = reachable_ranges(graph, component)
         if not is_maximal_tail(graph, vertices):
             raise InternalInvariantViolation(f"component {sorted(component)} spans no maximal tail")
-        cycle = index.cycle_at.get(index.home[next(iter(component))])
-        tails.append(MaximalTail(vertices, cycle, 0 if cycle is None else len(cycle)))
+        home = index.home[next(iter(component))]
+        cycle = index.cycle_at.get(home)
+        tails.append(MaximalTail(vertices, cycle, 0 if cycle is None else len(cycle), home))
     return sorted(tails, key=tail_sort_key)
 
 

@@ -1,9 +1,11 @@
 """Bounded-exhaustive oracle census: every small source-free multigraph.
 
-Runs ``oracle.self_check`` (seeds 0 and 1, four samples each) on every
-labelled source-free multigraph with at most three vertices and six
-edges, or with four vertices and at most five edges.  It takes about a
-minute, so pytest does not collect it.  Run it from the repository root:
+Runs ``oracle.self_check`` (seeds 0 and 1, four samples each) and checks
+the three facts of the tail order (``tail_laws``, on every saturated
+hereditary set and every family of tails) on every labelled source-free
+multigraph with at most three vertices and six edges, or with four
+vertices and at most five edges.  It takes about 40 s, so pytest does
+not collect it.  Run it from the repository root:
 
     PYTHONPATH=src python tests/census.py
 """
@@ -15,6 +17,7 @@ import time
 
 from fixtures import census_graphs
 from prim_lattice.oracle import self_check
+from tail_laws import tail_order_faults
 
 # the number of graphs this generator yields in that scope
 EXPECTED = 5461
@@ -33,8 +36,13 @@ def main() -> int:
             if not report["pass"]:
                 failed += 1
                 print(f"mismatch at seed {seed} on {g!r}: {report}", file=sys.stderr)
+        faults = tail_order_faults(g)
+        if faults:
+            failed += 1
+            print(f"tail order fails on {g!r}: {faults}", file=sys.stderr)
     seconds = time.perf_counter() - started
-    print(f"{len(graphs)} graphs, {2 * len(graphs)} oracle runs, {failed} failed, {seconds:.1f} s")
+    runs = f"{2 * len(graphs)} oracle runs and {len(graphs)} tail-order checks"
+    print(f"{len(graphs)} graphs, {runs}, {failed} failed, {seconds:.1f} s")
     return 1 if failed else 0
 
 

@@ -269,6 +269,69 @@ def _mutant(rng: random.Random, document):
     return doc
 
 
+class TestUnknownKeys:
+    """Every object a decoder reads names its keys: any other is rejected, never ignored."""
+
+    DOUBLE = {
+        "vertices": ["v"],
+        "edges": [{"id": "a", "src": "v", "rng": "v"}, {"id": "b", "src": "v", "rng": "v"}],
+    }
+
+    def test_a_misspelt_key_is_not_read_as_missing(self):
+        # read as an empty H, {"h": ...} would give the zero ideal's hull
+        assert run("hull", "-g", self.DOUBLE, "-p", {"h": ["v"]}) == (
+            1, "", "error: an ideal pair has an unknown key 'h'\n"
+        )
+        assert run("hull", "-g", self.DOUBLE, "-p", {"H": ["v"]}) == (0, "[]\n", "")
+
+    def test_in_every_object(self):
+        suffix = " has an unknown key 'extra'\n"
+        named = set()
+        for command in sorted(DOCUMENTS):
+            flags = {"-g": GRAPH, **DOCUMENTS[command]}
+            for flag, doc in flags.items():
+                for at in _paths(doc):
+                    changed = json.loads(json.dumps(doc))
+                    holder = changed
+                    for key in at:
+                        holder = holder[key]
+                    if not isinstance(holder, dict):
+                        continue
+                    holder["extra"] = 1
+                    argv = [command]
+                    for other, value in flags.items():
+                        argv += [other, changed if other == flag else value]
+                    code, out, err = run(*argv)
+                    assert code == 1 and out == "", (argv, err)
+                    assert_one_short_line(err)
+                    assert err.endswith(suffix), err
+                    named.add(err[len("error: ") : -len(suffix)])
+        assert named == {
+            "graph JSON", "an edge", "an ideal pair", "a 'U' entry", "a maximal tail",
+            "a primitive ideal", "a hull stratum", "a closed circle set",
+        }
+
+    def test_a_long_key_is_cut(self):
+        code, out, err = run("hull", "-g", LOOP, "-p", {"H": [], "U": [], "k" * 10_000: 1})
+        assert code == 1 and out == ""
+        assert_one_short_line(err)
+        assert err.startswith("error: an ideal pair has an unknown key 'kkk")
+
+    def test_keys_that_may_be_omitted_still_may(self):
+        bare = {"tail": {"vertices": ["u", "v"]}, "z": "1/4"}
+        everything = {"H": ["u", "v"]}
+        assert run("contains", "-g", GRAPH, "-p", everything, "-r", bare) == (
+            0, '{"contained":false}\n', ""
+        )
+        assert run("contains", "-g", GRAPH, "-p", PAIR, "-r", bare) == run(
+            "contains", "-g", GRAPH, "-p", PAIR, "-r", PRIM
+        )
+        arcs_only = {"tail": {"vertices": ["u", "v"]}, "allowed": {"arcs": [["1/2", "1"]]}}
+        assert run("from-hull", "-g", GRAPH, "-H", [HULL[0], arcs_only]) == run(
+            "from-hull", "-g", GRAPH, "-H", HULL
+        )
+
+
 def test_malformed_input_sweep():
     """Seeded mutants of every command's valid documents: never a crash or a leaked message.
 
