@@ -93,11 +93,10 @@ def graph_from_json(data) -> DirectedGraph:
             "'edges' must be an array of objects with 'id', 'src' and 'rng' fields"
         )
     _keys(data, ("vertices", "edges"), "graph JSON")
-    # every edge holds its three fields, so only one with more holds another key
-    if sum(map(len, edges)) > 3 * len(edges):
-        for entry in edges:
-            _keys(entry, ("id", "src", "rng"), "an edge")
-    rows = [_ids([entry["id"], entry["src"], entry["rng"]], "an edge") for entry in edges]
+    rows = []
+    for entry in edges:
+        _keys(entry, ("id", "src", "rng"), "an edge")
+        rows.append(_ids([entry["id"], entry["src"], entry["rng"]], "an edge"))
     vertices = _ids(data.get("vertices", []), "'vertices'")
     seen = set()
     for v in vertices:

@@ -305,12 +305,12 @@ def closure_contains(
     the target's own tail, and finitely many points are their own closure.
     """
     index = cycle_index(graph)
-    reach, home = index.reach, index.generator(target.tail)
-    bit, point = 1 << home, target._point
+    home = index.generator(target.tail)
+    vertex, point = index.vertex[home], target._point
     for prim in prims:
-        at = index.generator(prim.tail)
-        if at == home and prim._point == point or at != home and reach[at] & bit:
-            return True
+        if vertex in prim.tail.vertices:
+            if index.generator(prim.tail) != home or prim._point == point:
+                return True
     return False
 
 

@@ -133,8 +133,8 @@ def strongly_connected_components(graph: DirectedGraph) -> list[frozenset]:
 
 
 class CycleIndex:
-    """Components in Tarjan order, what each reaches, and the cycles that can
-    be entrance-free in a forward-closed set.
+    """Components in Tarjan order and the cycles that can be entrance-free in
+    a forward-closed set.
 
     Let S be forward closed and C an entrance-free cycle of S.  S holds
     everything C reaches, so a path from anywhere in C's strongly
@@ -145,11 +145,10 @@ class CycleIndex:
     when its vertices lie in S and none of its *entries* (the sources of
     its in-edges from outside it) do.
 
-    ``home`` maps each vertex to the Tarjan position of its component.
-    Each position has one of its vertices in ``vertex`` and in ``reach`` a
-    bitset (a Python int) of the positions its component reaches, its own
-    included: so one tail lies in another exactly when the other's
-    generator has the first's bit.  ``components`` are the components that
+    ``home`` maps each vertex to the Tarjan position of its component, and
+    ``vertex`` each position to one of its component's vertices: a tail,
+    being forward closed, holds another exactly when it holds that vertex
+    of the other's generator.  ``components`` are the components that
     hold an edge, in Tarjan order, and ``cycle_at`` maps each cycle
     component's position to its cycle.  ``cycles`` lists ``(cycle, vertex,
     entries)`` for each cycle component, sorted by cycle, with one of its
@@ -158,15 +157,12 @@ class CycleIndex:
     positions of the components that have no entries.
     """
 
-    __slots__ = (
-        "components", "home", "vertex", "reach", "cycle_at", "cycles", "entered", "unentered"
-    )
+    __slots__ = ("components", "home", "vertex", "cycle_at", "cycles", "entered", "unentered")
 
-    def __init__(self, components, home, vertex, reach, cycle_at, cycles):
+    def __init__(self, components: list, home: dict, vertex: list, cycle_at: dict, cycles: list):
         self.components = components
         self.home = home
         self.vertex = vertex
-        self.reach = reach
         self.cycle_at = cycle_at
         self.cycles = cycles
         self.entered = {}
@@ -185,20 +181,14 @@ class CycleIndex:
 
 
 def build_cycle_index(graph: DirectedGraph) -> CycleIndex:
-    """One Tarjan run and one pass over the edges, with at most one bitset OR
-    per edge: O(V+E) steps plus sorting."""
+    """One Tarjan run and one pass over the in-edges: O(V+E) plus sorting."""
     tarjan = strongly_connected_components(graph)
     home = {v: i for i, component in enumerate(tarjan) for v in component}
     edges = graph.edges
     components = []
-    reach = []
     cycle_at = {}
     cycles = []
     for i, component in enumerate(tarjan):
-        # everything a component reaches was emitted before it, so has its bits
-        reach.append(1 << i)
-        for j in {home[edges[e][1]] for v in component for e in graph._out[v]}:
-            reach[i] |= reach[j]
         inner = {v: [e for e in graph._in[v] if home[edges[e][0]] == i] for v in component}
         if any(inner.values()):
             components.append(component)
@@ -220,7 +210,7 @@ def build_cycle_index(graph: DirectedGraph) -> CycleIndex:
         cycles.append((cycle_at[i], start, entries))
     cycles.sort(key=lambda item: item[0].edges)
     vertex = [min(component) for component in tarjan]
-    return CycleIndex(components, home, vertex, reach, cycle_at, cycles)
+    return CycleIndex(components, home, vertex, cycle_at, cycles)
 
 
 def cycle_index(graph: DirectedGraph) -> CycleIndex:

@@ -2,12 +2,12 @@
 
 ``closure_contains`` and ``contained_in_prim`` read maximal tails through
 the cycle index: a tail is what its generating component reaches, and
-the index keeps each component's reach as a bitset and one of its
-vertices.  Three facts make that exact:
+the index keeps one vertex of each component.  Three facts make that
+exact:
 
-(a) ``tail(c)`` lies in ``tail(d)`` exactly when bit ``c`` is set in
-    ``d``'s bitset, where ``tail(c)`` is everything component ``c``
-    reaches, itself included;
+(a) ``tail(c)`` lies in ``tail(d)`` exactly when ``tail(d)`` holds the
+    vertex the index keeps for component ``c``, where ``tail(c)`` is
+    everything component ``c`` reaches, itself included;
 (b) a saturated hereditary ``H`` misses a maximal tail ``T`` exactly when
     ``T``'s generator lies outside ``H``;
 (c) a cyclic ``T``'s cycle is entrance-free in a union of tails holding
@@ -38,18 +38,19 @@ def both_forms(graph) -> list[tuple[MaximalTail, MaximalTail]]:
     return [(t, MaximalTail(t.vertices, t.cycle, t.period)) for t in enumerate_maximal_tails(graph)]
 
 
-def reach_faults(graph) -> list[str]:
+def inclusion_faults(graph) -> list[str]:
     """Fact (a), over every pair of Tarjan positions."""
     index = cycle_index(graph)
     members = {}
     for v, position in index.home.items():
         members.setdefault(position, set()).add(v)
     tails = [reachable_ranges(graph, members[c]) for c in range(len(members))]
-    return [
-        f"tail({c}) <= tail({d}) is {small <= big}, but bit {c} of reach[{d}] disagrees"
+    outside = [c for c in members if index.vertex[c] not in members[c]]
+    return [f"vertex[{c}] is outside component {c}" for c in outside] + [
+        f"tail({c}) <= tail({d}) is {small <= big}, but vertex[{c}] in tail({d}) disagrees"
         for c, small in enumerate(tails)
         for d, big in enumerate(tails)
-        if (small <= big) != bool(index.reach[d] >> c & 1)
+        if (small <= big) != (index.vertex[c] in big)
     ]
 
 
@@ -111,7 +112,7 @@ def tail_order_faults(graph, seed: int = 0, limit: int = 256) -> list[str]:
     """Facts (a) to (c) on one graph, with seeded samples past ``limit``."""
     rng = random.Random(seed)
     return (
-        reach_faults(graph)
+        inclusion_faults(graph)
         + generator_faults(graph, hereditary_sample(graph, rng, limit))
         + entrance_faults(graph, tail_families(graph, rng, limit))
     )

@@ -1,8 +1,8 @@
 """Closure and containment of primitive ideals read off the tail order.
 
 ``closure_contains`` and ``contained_in_prim`` look at a tail through the
-component that generates it: its Tarjan position, that component's reach
-bitset and one of its vertices.  These tests land the three facts that
+component that generates it: its Tarjan position and one of that
+component's vertices.  These tests land the three facts that
 make this exact (see ``tail_laws``), and hold both functions to the
 literal vertex-set forms they replaced, also for tails that keep no
 position (built by hand or unpickled) or keep one from an equal graph.
@@ -33,7 +33,7 @@ from tail_laws import (
     entrance_faults,
     generator_faults,
     hereditary_sample,
-    reach_faults,
+    inclusion_faults,
     tail_families,
 )
 
@@ -62,9 +62,9 @@ def test_the_census_slice_is_whole():
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 class TestLaws:
-    def test_a_tail_lies_in_another_exactly_when_its_bit_is_set(self, family):
+    def test_a_tail_lies_in_another_exactly_when_that_holds_its_generators_vertex(self, family):
         for g in FAMILIES[family]:
-            assert reach_faults(g) == [], g
+            assert inclusion_faults(g) == [], g
 
     def test_a_saturated_hereditary_set_misses_a_tail_exactly_when_it_misses_its_generator(
         self, family
