@@ -46,6 +46,8 @@ def as_angle(value) -> Fraction:
     """Coerce a fraction, integer or ``p/q`` string onto the circle."""
     if type(value) is Fraction and 0 <= value.numerator < value.denominator:
         return value
+    if isinstance(value, (float, bool)):
+        raise GraphAlgebraError(f"angle {value!r} is a {type(value).__name__}, not exact")
     try:
         return Fraction(value) % 1
     except _NOT_RATIONAL as err:
@@ -72,6 +74,8 @@ def _normalise(raw, points, joins) -> tuple[list, bool]:
     kind = "open" if joins is lt else "closed"
     segments = []
     for a, b in raw:
+        if isinstance(a, (float, bool)) or isinstance(b, (float, bool)):
+            raise GraphAlgebraError(f"{kind} arc {excerpt(repr((a, b)))} has an inexact endpoint")
         try:
             a, b = Fraction(a), Fraction(b)
         except _NOT_RATIONAL as err:

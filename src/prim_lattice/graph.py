@@ -36,28 +36,24 @@ from .errors import (
 )
 from .record import Record, set_field
 
-VertexSet = frozenset
-
 
 class DirectedGraph:
     """A finite directed graph with named edges.
 
     ``edges`` may be a mapping ``id -> (source, range)`` or an iterable of
-    ``(id, source, range)`` triples.  Instances are immutable by
-    convention; all derived data is precomputed here, except the cycle
-    index of :mod:`.tails`, which is built on first use.  Construction
-    rejects a duplicate edge id, then runs :func:`validate`, so every
-    graph is nonempty, has no dangling endpoint and no source.
+    ``(id, source, range)`` triples, all ids strings.  Instances are
+    immutable by convention; all derived data is precomputed here, except
+    the cycle index of :mod:`.tails`, which is built on first use.
+    Construction rejects other ids and a duplicate edge id, then runs
+    :func:`validate`: every graph is nonempty, with no dangling endpoint or source.
     """
 
     def __init__(self, vertices: Iterable[str], edges=()) -> None:
-        self.vertices = tuple(sorted({str(v) for v in vertices}))
+        self.vertices = tuple(sorted(set(_string_ids(vertices, "a graph's vertices"))))
         if isinstance(edges, Mapping):
-            rows = [(str(e), str(s), str(r)) for e, (s, r) in edges.items()]
-        else:
-            rows = [(str(e), str(s), str(r)) for e, s, r in edges]
+            edges = [(e, *_string_ids(ends, "an edge's ends")) for e, ends in edges.items()]
         table = {}
-        for eid, src, rng in sorted(rows):
+        for eid, src, rng in sorted(tuple(_string_ids(row, "an edge")) for row in edges):
             if eid in table:
                 raise GraphAlgebraError(f"duplicate edge id {excerpt(repr(eid))}")
             table[eid] = (src, rng)
@@ -125,11 +121,20 @@ def validate(graph: DirectedGraph) -> DirectedGraph:
     return graph
 
 
+def _string_ids(values: Iterable[str], what: str) -> list:
+    """``values`` as a list of ids: strings, and not one string read as its characters."""
+    ids = [None] if isinstance(values, str) else list(values)  # so one string fails too
+    for v in ids:
+        if not isinstance(v, str):
+            raise GraphAlgebraError(f"{what} must list string ids: {excerpt(repr(values))}")
+    return ids
+
+
 def _vertex_subset(graph: DirectedGraph, subset: Iterable[str]) -> frozenset:
-    sub = frozenset(subset)
-    for v in sub:
-        if v not in graph._in:
-            raise UnknownVertexError(v)
+    sub = frozenset(_string_ids(subset, "a vertex set"))
+    unknown = [v for v in sub if v not in graph._in]
+    if unknown:
+        raise UnknownVertexError(min(unknown))  # the least, whatever the set's hash order
     return sub
 
 
@@ -191,7 +196,7 @@ def saturated_hereditary_closure(graph: DirectedGraph, subset: Iterable[str]) ->
 
 
 def is_saturated_hereditary(graph: DirectedGraph, subset: Iterable[str]) -> bool:
-    sub = frozenset(subset)
+    sub = _vertex_subset(graph, subset)
     return sub == saturated_hereditary_closure(graph, sub)
 
 
@@ -291,7 +296,7 @@ class Cycle(Record):
 
 def cycle_from_edges(graph: DirectedGraph, edge_ids: Iterable[str]) -> Cycle:
     """Validate an edge sequence as a cycle of ``graph``, then canonicalise it: O(n)."""
-    ids = tuple(str(e) for e in edge_ids)
+    ids = tuple(_string_ids(edge_ids, "a cycle"))
     for e in ids:
         if e not in graph.edges:
             raise NotACycleError(f"unknown edge {excerpt(repr(e))}")
@@ -341,7 +346,7 @@ def entrance_free_cycles(graph: DirectedGraph, subset: Iterable[str]) -> list[Cy
     earlier walk passed, so each vertex is passed once and the scan costs
     O(|subset| + in-edges of the subset).
     """
-    inside = frozenset(subset)
+    inside = _vertex_subset(graph, subset)
     feeders = {
         v: [e for e in graph.in_edges(v) if graph.src(e) in inside] for v in inside
     }

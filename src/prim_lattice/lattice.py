@@ -340,10 +340,11 @@ class Hull(Record):
 
 def hull(graph: DirectedGraph, pair: IdealPair) -> Hull:
     """The hull of an ideal: every primitive ideal containing it."""
+    index = cycle_index(graph)
     sets = pair.assignment
     entries = []
     for tail in enumerate_maximal_tails(graph):
-        if tail.vertices & pair.vertices:
+        if index.vertex[index.generator(tail)] in pair.vertices:
             continue
         if not tail.is_cyclic:
             allowed = finite_closed_set([Fraction(0)])

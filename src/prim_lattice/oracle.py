@@ -183,10 +183,9 @@ def check_lattice_laws(graph: DirectedGraph, sample: list[IdealPair]) -> OracleR
     return report
 
 
-def _enriched_angles(prims, pair: IdealPair, zgrid) -> list[Fraction]:
+def _enriched_angles(prims, pair: IdealPair) -> list[Fraction]:
     """The probe grid: given angles, arc endpoints, and their midpoints."""
-    points = {Fraction(z) % 1 for z in zgrid}
-    points.update(prim.angle for prim in prims)
+    points = {prim.angle for prim in prims}
     for _, value in pair.cycle_sets:
         points.update(value.endpoints())
     ordered = sorted(points)
@@ -199,7 +198,7 @@ def _enriched_angles(prims, pair: IdealPair, zgrid) -> list[Fraction]:
 
 
 def check_closure_coherence(
-    graph: DirectedGraph, prims: list[PrimitiveIdeal], zgrid=(), tails=None
+    graph: DirectedGraph, prims: list[PrimitiveIdeal], tails=None
 ) -> OracleReport:
     """Compare topological closure against containment in the meet.
 
@@ -212,7 +211,7 @@ def check_closure_coherence(
     """
     report = OracleReport()
     met = meet_of_primitives(graph, prims)
-    angles = _enriched_angles(prims, met, zgrid)
+    angles = _enriched_angles(prims, met)
     for tail in enumerate_maximal_tails(graph) if tails is None else tails:
         probes = angles if tail.is_cyclic else [Fraction(0)]
         for angle in probes:

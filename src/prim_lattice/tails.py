@@ -17,7 +17,6 @@ from .graph import (
     DirectedGraph,
     _vertex_subset,
     cycle_from_edges,
-    cycle_vertices,
     reachable_ranges,
 )
 from .record import Record, set_field
@@ -80,17 +79,18 @@ def is_maximal_tail(graph: DirectedGraph, subset) -> bool:
 def classify_tail(graph: DirectedGraph, subset) -> MaximalTail:
     """Check a maximal tail given from outside and wrap it as cyclic or aperiodic.
 
-    The tail is what its generating component, the one Tarjan emits last
-    among its vertices, reaches.  Its cycle is that component's if it is a
-    cycle component: a path from it into any other has an entrance there.
+    A maximal tail is what its generating component reaches, and Tarjan
+    emits that component after all it reaches: the set is a maximal tail
+    exactly when it is the tail generated at its vertices' highest position.
     """
-    tail = frozenset(subset)
-    if not is_maximal_tail(graph, tail):
-        raise NotAMaximalTailError(f"{sorted(tail)} is not a maximal tail")
+    tail = _vertex_subset(graph, subset)
     index = cycle_index(graph)
-    home = max(index.home[v] for v in tail)
-    cycle = index.cycle_at.get(home)
-    return MaximalTail(tail, cycle, 0 if cycle is None else len(cycle), home)
+    home = max(map(index.home.__getitem__, tail), default=None)
+    if home in index.generators:
+        built = _tail_at(graph, index, home)
+        if built.vertices == tail:
+            return built
+    raise NotAMaximalTailError(f"{sorted(tail)} is not a maximal tail")
 
 
 def strongly_connected_components(graph: DirectedGraph) -> list[frozenset]:
@@ -145,33 +145,24 @@ class CycleIndex:
     when its vertices lie in S and none of its *entries* (the sources of
     its in-edges from outside it) do.
 
-    ``home`` maps each vertex to the Tarjan position of its component, and
-    ``vertex`` each position to one of its component's vertices: a tail,
-    being forward closed, holds another exactly when it holds that vertex
-    of the other's generator.  ``components`` are the components that
-    hold an edge, in Tarjan order, and ``cycle_at`` maps each cycle
-    component's position to its cycle.  ``cycles`` lists ``(cycle, vertex,
-    entries)`` for each cycle component, sorted by cycle, with one of its
-    vertices.  ``entered`` maps each entry to the positions in ``cycles``
-    of the components it enters, in order, and ``unentered`` lists the
-    positions of the components that have no entries.
+    ``generators`` are the Tarjan positions of the components that hold an
+    edge, each generating one maximal tail.  ``home`` maps each vertex to
+    its component's position, and ``vertex`` each position to one of its
+    component's vertices: a tail, being forward closed, holds another
+    exactly when it holds that vertex of the other's generator.
+    ``cycle_at`` maps each cycle component's position to its cycle, and
+    ``cycles`` lists ``(cycle, vertex, entries)`` for each, sorted by
+    cycle, with one of its vertices.  ``entered`` maps each entry to the
+    positions in ``cycles`` of the components it enters, in order, and
+    ``unentered`` lists those of the components with no entries.
+    :func:`build_cycle_index` derives them all, and passes them in this order.
     """
 
-    __slots__ = ("components", "home", "vertex", "cycle_at", "cycles", "entered", "unentered")
+    __slots__ = ("generators", "home", "vertex", "cycle_at", "cycles", "entered", "unentered")
 
-    def __init__(self, components: list, home: dict, vertex: list, cycle_at: dict, cycles: list):
-        self.components = components
-        self.home = home
-        self.vertex = vertex
-        self.cycle_at = cycle_at
-        self.cycles = cycles
-        self.entered = {}
-        self.unentered = []
-        for i, (_, _, entries) in enumerate(cycles):
-            for v in entries:
-                self.entered.setdefault(v, []).append(i)
-            if not entries:
-                self.unentered.append(i)
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields):
+            setattr(self, name, value)
 
     def generator(self, tail: MaximalTail) -> int:
         """The position of the component that generates ``tail``: the one it keeps,
@@ -185,13 +176,13 @@ def build_cycle_index(graph: DirectedGraph) -> CycleIndex:
     tarjan = strongly_connected_components(graph)
     home = {v: i for i, component in enumerate(tarjan) for v in component}
     edges = graph.edges
-    components = []
+    generators = []
     cycle_at = {}
     cycles = []
     for i, component in enumerate(tarjan):
         inner = {v: [e for e in graph._in[v] if home[edges[e][0]] == i] for v in component}
         if any(inner.values()):
-            components.append(component)
+            generators.append(i)
         if not all(len(found) == 1 for found in inner.values()):
             continue
         # following the unique inner feeders back from one vertex walks
@@ -209,8 +200,13 @@ def build_cycle_index(graph: DirectedGraph) -> CycleIndex:
         cycle_at[i] = Cycle(tuple(walk))
         cycles.append((cycle_at[i], start, entries))
     cycles.sort(key=lambda item: item[0].edges)
+    entered = {}
+    for i, (_, _, entries) in enumerate(cycles):
+        for v in entries:
+            entered.setdefault(v, []).append(i)
+    unentered = [i for i, (_, _, entries) in enumerate(cycles) if not entries]
     vertex = [min(component) for component in tarjan]
-    return CycleIndex(components, home, vertex, cycle_at, cycles)
+    return CycleIndex(generators, home, vertex, cycle_at, cycles, entered, unentered)
 
 
 def cycle_index(graph: DirectedGraph) -> CycleIndex:
@@ -244,39 +240,33 @@ def cycles_outside(graph: DirectedGraph, hereditary: frozenset) -> list[Cycle]:
     return [cycles[i][0] for i in sorted(found) if cycles[i][1] not in hereditary]
 
 
-def enumerate_maximal_tails(graph: DirectedGraph) -> list[MaximalTail]:
-    """All maximal tails, sorted by size then vertex ids.
+def _tail_at(graph: DirectedGraph, index: CycleIndex, position: int) -> MaximalTail:
+    """The maximal tail generated at ``position``, one of ``index.generators``, which
+    it keeps, with the component's cycle if that is a cycle component.  Every maximal
+    tail is built here and checked against the axioms: a failure is a bug, not bad input."""
+    vertices = reachable_ranges(graph, (index.vertex[position],))
+    if not is_maximal_tail(graph, vertices):
+        raise InternalInvariantViolation(f"the component at position {position} spans no tail")
+    cycle = index.cycle_at.get(position)
+    return MaximalTail(vertices, cycle, 0 if cycle is None else len(cycle), position)
 
-    Each tail is everything one component with an edge reaches, with that
-    component's cycle if it is a cycle component.  Two components with
-    the same forward closure reach each other and so coincide: no tail
-    comes up twice.  Each tail is still checked against the axioms, and
-    one that fails is a bug here, not bad input.
-    """
+
+def enumerate_maximal_tails(graph: DirectedGraph) -> list[MaximalTail]:
+    """All maximal tails, sorted by size then vertex ids: one per component with
+    an edge, as two components with the same forward closure reach each other
+    and so coincide."""
     index = cycle_index(graph)
-    tails = []
-    for component in index.components:
-        vertices = reachable_ranges(graph, component)
-        if not is_maximal_tail(graph, vertices):
-            raise InternalInvariantViolation(f"component {sorted(component)} spans no maximal tail")
-        home = index.home[next(iter(component))]
-        cycle = index.cycle_at.get(home)
-        tails.append(MaximalTail(vertices, cycle, 0 if cycle is None else len(cycle), home))
-    return sorted(tails, key=tail_sort_key)
+    return sorted((_tail_at(graph, index, i) for i in index.generators), key=tail_sort_key)
 
 
 def enumerate_primitive_strata(graph: DirectedGraph) -> list[tuple[MaximalTail, str]]:
     """One entry per maximal tail, annotated with its circle parameter."""
-    strata = []
-    for tail in enumerate_maximal_tails(graph):
-        note = STRATUM_CIRCLE if tail.is_cyclic else STRATUM_POINT
-        strata.append((tail, note))
-    return strata
+    tails = enumerate_maximal_tails(graph)
+    return [(t, STRATUM_CIRCLE if t.is_cyclic else STRATUM_POINT) for t in tails]
 
 
 def tail_of_cycle(graph: DirectedGraph, cycle) -> MaximalTail:
     """The maximal tail generated by a cycle (or edge sequence): everything it reaches."""
-    edge_ids = cycle.edges if isinstance(cycle, Cycle) else cycle
-    checked = cycle_from_edges(graph, edge_ids)
-    vertices = reachable_ranges(graph, cycle_vertices(graph, checked))
-    return classify_tail(graph, vertices)
+    checked = cycle_from_edges(graph, cycle.edges if isinstance(cycle, Cycle) else cycle)
+    index = cycle_index(graph)
+    return _tail_at(graph, index, index.home[graph.src(checked.edges[0])])

@@ -1,11 +1,12 @@
 """Bounded-exhaustive oracle census: every small source-free multigraph.
 
-Runs ``oracle.self_check`` (seeds 0 and 1, four samples each) and checks
+Runs ``oracle.self_check`` (seeds 0 and 1, four samples each), checks
 the three facts of the tail order (``tail_laws``, on every saturated
-hereditary set and every family of tails) on every labelled source-free
-multigraph with at most three vertices and six edges, or with four
-vertices and at most five edges.  It takes about 40 s, so pytest does
-not collect it.  Run it from the repository root:
+hereditary set and every family of tails), and checks ``classify_tail``
+against the brute-force tails on every vertex set, on every labelled
+source-free multigraph with at most three vertices and six edges, or
+with four vertices and at most five edges.  It takes about 40 s, so
+pytest does not collect it.  Run it from the repository root:
 
     PYTHONPATH=src python tests/census.py
 """
@@ -17,7 +18,7 @@ import time
 
 from fixtures import census_graphs
 from prim_lattice.oracle import self_check
-from tail_laws import tail_order_faults
+from tail_laws import classification_faults, tail_order_faults
 
 # the number of graphs this generator yields in that scope
 EXPECTED = 5461
@@ -40,8 +41,12 @@ def main() -> int:
         if faults:
             failed += 1
             print(f"tail order fails on {g!r}: {faults}", file=sys.stderr)
+        faults = classification_faults(g)
+        if faults:
+            failed += 1
+            print(f"classify_tail fails on {g!r}: {faults}", file=sys.stderr)
     seconds = time.perf_counter() - started
-    runs = f"{2 * len(graphs)} oracle runs and {len(graphs)} tail-order checks"
+    runs = f"{2 * len(graphs)} oracle runs, {len(graphs)} tail-order and classification checks"
     print(f"{len(graphs)} graphs, {runs}, {failed} failed, {seconds:.1f} s")
     return 1 if failed else 0
 

@@ -3,7 +3,7 @@
 ``closure_contains`` and ``contained_in_prim`` read maximal tails through
 the cycle index: a tail is what its generating component reaches, and
 the index keeps one vertex of each component.  Three facts make that
-exact:
+exact, and a fourth lets ``classify_tail`` recognise a tail the same way:
 
 (a) ``tail(c)`` lies in ``tail(d)`` exactly when ``tail(d)`` holds the
     vertex the index keeps for component ``c``, where ``tail(c)`` is
@@ -12,7 +12,10 @@ exact:
     ``T``'s generator lies outside ``H``;
 (c) a cyclic ``T``'s cycle is entrance-free in a union of tails holding
     ``T`` exactly when every tail of that union that contains ``T`` has
-    ``T``'s generator.
+    ``T``'s generator;
+(d) a vertex set is a maximal tail exactly when it is the tail generated
+    at the highest Tarjan position among its vertices, and that position
+    holds an edge, which is how ``classify_tail`` decides it.
 
 Each checker returns a list of faults, empty when its fact holds.  Tails
 are taken both as enumerated, which keep their generator's position,
@@ -22,15 +25,18 @@ census (``tests/census.py``) share these checkers.
 
 from __future__ import annotations
 
+import itertools
 import random
 
+from prim_lattice.errors import NotAMaximalTailError
 from prim_lattice.graph import (
     enumerate_saturated_hereditary,
     is_entrance_free,
     reachable_ranges,
     saturated_hereditary_closure,
 )
-from prim_lattice.tails import MaximalTail, cycle_index, enumerate_maximal_tails
+from prim_lattice.oracle import brute_maximal_tails
+from prim_lattice.tails import MaximalTail, classify_tail, cycle_index, enumerate_maximal_tails
 
 
 def both_forms(graph) -> list[tuple[MaximalTail, MaximalTail]]:
@@ -57,7 +63,7 @@ def inclusion_faults(graph) -> list[str]:
 def hereditary_sample(graph, rng: random.Random, limit: int) -> list[frozenset]:
     """Every saturated hereditary set when there can be at most ``limit`` of
     them, else ``limit`` closures of random vertex sets and the two extremes."""
-    if 2 ** len(cycle_index(graph).components) <= limit:
+    if 2 ** len(cycle_index(graph).generators) <= limit:
         return enumerate_saturated_hereditary(graph)
     vertices = graph.vertices
     drawn = {frozenset(), frozenset(vertices)}
@@ -105,6 +111,24 @@ def entrance_faults(graph, families: list[list[MaximalTail]]) -> list[str]:
             if is_entrance_free(graph, tail.cycle, union) != ruled:
                 shown = [sorted(t.vertices) for t in family]
                 faults.append(f"cycle {tail.cycle.edges} in the union of {shown}")
+    return faults
+
+
+def classification_faults(graph) -> list[str]:
+    """Fact (d), on every vertex set: ``classify_tail`` accepts exactly the
+    brute-force maximal tails, each as the enumerated record, position and all."""
+    brute = set(brute_maximal_tails(graph))
+    enumerated = {t.vertices: t for t in enumerate_maximal_tails(graph)}
+    faults = []
+    for size in range(len(graph.vertices) + 1):
+        for subset in map(frozenset, itertools.combinations(graph.vertices, size)):
+            try:
+                tail = classify_tail(graph, subset)
+            except NotAMaximalTailError:
+                tail = None
+            expected = enumerated.get(subset) if subset in brute else None
+            if (tail, getattr(tail, "_home", None)) != (expected, getattr(expected, "_home", None)):
+                faults.append(f"{sorted(subset)} classified as {tail}, expected {expected}")
     return faults
 
 

@@ -765,6 +765,48 @@ class TestInternalErrors:
         assert code == 4 and out == ""
         assert err.startswith("Traceback") and "InternalInvariantViolation: " in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("contains", "-p", '{"H":["u","v"],"U":[]}', "-r", '{"tail":{"vertices":["v"]},"z":"0"}'),
+            (
+                "closure",
+                "-X", '[{"tail":{"vertices":["v"]},"z":"0"}]',
+                "-t", '{"tail":{"vertices":["u","v"]},"z":"0"}',
+            ),
+            ("from-hull", "-H", '[{"tail":{"vertices":["v"]},"allowed":"full"}]'),
+        ],
+        ids=["contains", "closure", "from-hull"],
+    )
+    def test_a_given_tail_failing_its_check_is_a_bug(self, capsys, monkeypatch, argv):
+        # a tail given as input is accepted as the one built at its generating
+        # position, and that build is checked like an enumerated tail's
+        from prim_lattice import tails
+
+        monkeypatch.setattr(tails, "is_maximal_tail", lambda graph, subset: False)
+        code, out, err = run(capsys, argv[0], "-g", G_FLOW, *argv[1:])
+        assert code == 4 and out == ""
+        assert err.startswith("Traceback") and "InternalInvariantViolation: " in err
+
+
+class TestDeterministicErrors:
+    def test_the_least_unknown_vertex_is_named_under_every_hash_seed(self):
+        # a set's iteration order follows string hashing, which changes from
+        # process to process; the one error line must not
+        unknown, everything = '{"H":["0","1/2","3/4"],"U":[]}', '{"H":["u","v"],"U":[]}'
+        argv = ["leq", "-g", G_FLOW, "-p", unknown, "-q", everything]
+        lines = set()
+        for seed in range(1, 6):
+            result = subprocess.run(
+                [sys.executable, "-m", "prim_lattice.cli", *argv],
+                capture_output=True,
+                text=True,
+                env=dict(os.environ, PYTHONHASHSEED=str(seed)),
+            )
+            assert (result.returncode, result.stdout) == (1, "")
+            lines.add(result.stderr)
+        assert lines == {"error: unknown vertex '0'\n"}
+
 
 # each command's flags besides -h/--help and -g/--graph, and which are required
 COMMAND_FLAGS = {

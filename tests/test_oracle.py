@@ -23,11 +23,13 @@ from prim_lattice import (
     check_lattice_laws,
     classify_tail,
     closure_contains,
+    contained_in_prim,
     entrance_free_cycles,
     enumerate_maximal_tails,
     enumerate_saturated_hereditary,
     ideal_pair,
     improper_ideal,
+    meet_of_primitives,
     pair_join,
     pair_meet,
     random_graph,
@@ -343,9 +345,15 @@ class TestClosureChecker:
     def test_worked_example_grid(self):
         tail = classify_tail(g_flow, {"u", "v"})
         x = [PrimitiveIdeal(tail, F(1, 4)), PrimitiveIdeal(tail, F(3, 4))]
-        grid = [F(k, 8) for k in range(8)]
-        report = check_closure_coherence(g_flow, x, grid)
-        assert report.passed and report.checked >= 16
+        report = check_closure_coherence(g_flow, x)
+        assert report.passed and report.checked == 8
+        # the checker probes both cyclic tails at 0, 1/4, 1/2 and 3/4; here
+        # every eighth of a turn is probed as well
+        met = meet_of_primitives(g_flow, x)
+        for probe in enumerate_maximal_tails(g_flow):
+            for k in range(8):
+                target = PrimitiveIdeal(probe, F(k, 8))
+                assert closure_contains(g_flow, x, target) == contained_in_prim(g_flow, met, target)
 
     def test_single_primitive(self):
         rng = random.Random(109)
@@ -354,9 +362,10 @@ class TestClosureChecker:
             assert check_closure_coherence(g, [prim]).passed
 
     def test_simple_fixture(self):
+        # an aperiodic tail is probed at angle zero alone
         prim = PrimitiveIdeal(classify_tail(g_double, {"v"}), 0)
-        grid = [F(k, 4) for k in range(4)]
-        assert check_closure_coherence(g_double, [prim], grid).passed
+        report = check_closure_coherence(g_double, [prim])
+        assert report.passed and report.checked == 1
 
     def test_random_sets_pass(self):
         rng = random.Random(113)

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 from prim_lattice import (
     DirectedGraph,
+    NotACycleError,
     NotAMaximalTailError,
     brute_maximal_tails,
     classify_tail,
+    cycle_from_edges,
     cycle_vertices,
     entrance_free_cycles,
     enumerate_maximal_tails,
@@ -22,7 +25,10 @@ from prim_lattice import (
     tail_of_cycle,
     validate,
 )
-from fixtures import fixture_graphs, g_double, g_flow, g_loop
+from fixtures import census_graphs, fixture_graphs, g_double, g_flow, g_loop
+from tail_laws import classification_faults
+
+CENSUS = list(census_graphs(3, 4))
 
 
 def _corpus(seed=11, count=40):
@@ -195,6 +201,54 @@ class TestTailOfCycle:
             for tail in enumerate_maximal_tails(g):
                 if tail.is_cyclic:
                     assert tail_of_cycle(g, tail.cycle.edges) == tail
+
+
+def _every_cycle(g) -> set:
+    """Every cycle of ``g``, found by trying each edge sequence up to the vertex count."""
+    found = set()
+    for length in range(1, len(g.vertices) + 1):
+        for edges in itertools.permutations(g.edges, length):
+            try:
+                found.add(cycle_from_edges(g, edges))
+            except NotACycleError:
+                pass
+    return found
+
+
+def _six_to_ten(seed: int, count: int) -> list:
+    rng = random.Random(seed)
+    graphs = []
+    while len(graphs) < count:
+        g = random_graph(rng, max_vertices=10, max_edges=20)
+        if len(g.vertices) >= 6:
+            graphs.append(g)
+    return graphs
+
+
+class TestOneBuilder:
+    """Every maximal tail comes from one builder, at its generating position."""
+
+    @pytest.mark.parametrize("family", ["census", "6-10 vertices"])
+    def test_classify_accepts_exactly_the_brute_force_tails(self, family):
+        graphs = CENSUS if family == "census" else _six_to_ten(67, 60)
+        for g in graphs:
+            assert classification_faults(g) == []
+
+    def test_three_routes_give_one_record(self):
+        for g in CENSUS:
+            tails = enumerate_maximal_tails(g)
+            for tail in tails:
+                classified = classify_tail(g, tail.vertices)
+                assert classified == tail and classified._home == tail._home
+            by_vertices = {tail.vertices: tail for tail in tails}
+            reached = set()
+            for cycle in _every_cycle(g):
+                built = tail_of_cycle(g, cycle)
+                tail = by_vertices[built.vertices]
+                assert built == tail and built._home == tail._home
+                reached.add(tail)
+            # every component with an edge holds a cycle
+            assert reached == set(tails)
 
 
 class TestStronglyConnectedComponents:

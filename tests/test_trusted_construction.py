@@ -4,24 +4,29 @@ Validation runs once, at the boundary (``ideal_pair``, ``gauge_ideal``,
 ``classify_tail``, ``PrimitiveIdeal`` and the JSON decoders).  These
 tests check on seeded random graphs that every result the operations
 build directly would also pass that validation unchanged, and that the
-boundary functions still reject unknown vertices.
+boundary functions still reject unknown vertices and coerce no input.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction as F
 
 import pytest
 
 from prim_lattice import (
     ClosedCircleSet,
     Cycle,
+    DirectedGraph,
+    GraphAlgebraError,
     Hull,
     HullEntry,
     MalformedHullError,
     OpenCircleSet,
     UnknownVertexError,
+    as_angle,
     classify_tail,
+    cycle_from_edges,
     entrance_free_cycles,
     gauge_ideal,
     hereditary_closure,
@@ -113,6 +118,50 @@ UNKNOWN = {"v", "nowhere"}
 def test_unknown_vertex_rejected(call):
     with pytest.raises(UnknownVertexError, match="nowhere"):
         call()
+
+
+TWO_CYCLE = DirectedGraph(["u", "v"], {"a": ("u", "v"), "b": ("v", "u")})
+
+
+class TestNoSilentCoercion:
+    """A string where ids are expected, an id that is no string, and a float or
+    bool where an angle is expected are each one error line, not a guess."""
+
+    REJECTED = {
+        "graph vertices as one string": lambda: DirectedGraph("uv", [("a", "u", "u"), ("b", "v", "v")]),
+        "graph vertices as integers": lambda: DirectedGraph([1, 2], [("a", "1", "1"), ("b", "2", "2")]),
+        "an edge's ends as one string": lambda: DirectedGraph(["u", "v"], {"a": "uu", "b": "uv"}),
+        "an edge id as an integer": lambda: DirectedGraph(["u"], [(0, "u", "u")]),
+        "a pair's vertices as one string": lambda: ideal_pair(g_flow, "uv", {}),
+        "a cycle as one string": lambda: cycle_from_edges(TWO_CYCLE, "ab"),
+        "an angle as a float": lambda: as_angle(0.1),
+        "an angle as a bool": lambda: as_angle(True),
+        "an arc endpoint as a float": lambda: OpenCircleSet.from_arcs([(0.25, 0.5)]),
+        "a point as a float": lambda: ClosedCircleSet((), (0.5,)),
+    }
+
+    @pytest.mark.parametrize("call", REJECTED.values(), ids=REJECTED.keys())
+    def test_rejected(self, call):
+        with pytest.raises(GraphAlgebraError) as caught:
+            call()
+        assert "\n" not in str(caught.value)
+
+    def test_the_exact_forms_still_read(self):
+        assert DirectedGraph(("u", "v"), {"a": ("u", "u"), "b": ("v", "v"), "c": ("u", "v")}) == g_flow
+        assert DirectedGraph(["u", "v"], [("a", "u", "v"), ("b", "v", "u")]) == TWO_CYCLE
+        assert cycle_from_edges(TWO_CYCLE, ("b", "a")) == Cycle(("a", "b"))
+        assert ideal_pair(g_flow, ["u", "v"], {}).vertices == {"u", "v"}
+        assert cycle_from_edges(g_flow, ["a"]) == Cycle(("a",))
+        assert as_angle(F(11, 10)) == as_angle("1/10") == as_angle(-9) + F(1, 10) == F(1, 10)
+        assert OpenCircleSet.from_arcs([(F(1, 4), "1/2")]) == OpenCircleSet.from_arcs([("1/4", "1/2")])
+
+    def test_messages_name_the_input(self):
+        with pytest.raises(GraphAlgebraError, match="a vertex set must list string ids: 'uv'"):
+            ideal_pair(g_flow, "uv", {})
+        with pytest.raises(GraphAlgebraError, match="angle 0.1 is a float, not exact"):
+            as_angle(0.1)
+        with pytest.raises(GraphAlgebraError, match=r"open arc \(0.25, 0.5\) has an inexact endpoint"):
+            OpenCircleSet.from_arcs([(0.25, 0.5)])
 
 
 class TestHullToPairLookup:
