@@ -332,16 +332,10 @@ class TestUnknownKeys:
         )
 
 
-def test_malformed_input_sweep():
-    """Seeded mutants of every command's valid documents: never a crash or a leaked message.
-
-    A mutant can stay valid (dropping a tail's ``kind`` does), so exit 0
-    is allowed with a silent stderr; everything else must exit 1 or 2
-    with one short line of our own.
-    """
-    rng = random.Random(12)
-    rejected = 0
-    for _ in range(2000):
+def malformed_argvs(seed: int, count: int = 2000):
+    """Seeded command lines, each with one of its command's valid documents mutated."""
+    rng = random.Random(seed)
+    for _ in range(count):
         command = rng.choice(sorted(DOCUMENTS))
         flags = {"-g": GRAPH, **DOCUMENTS[command]}
         target = rng.choice(sorted(flags))
@@ -350,6 +344,18 @@ def test_malformed_input_sweep():
             argv += [flag, _mutant(rng, doc) if flag == target else doc]
         if command == "oracle":
             argv += ["--samples", "2"]
+        yield argv
+
+
+def test_malformed_input_sweep():
+    """Seeded mutants of every command's valid documents: never a crash or a leaked message.
+
+    A mutant can stay valid (dropping a tail's ``kind`` does), so exit 0
+    is allowed with a silent stderr; everything else must exit 1 or 2
+    with one short line of our own.
+    """
+    rejected = 0
+    for argv in malformed_argvs(12):
         code, _, err = run(*argv)
         if code == 0:
             assert err == ""
