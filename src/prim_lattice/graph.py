@@ -53,7 +53,12 @@ class DirectedGraph:
         if isinstance(edges, Mapping):
             edges = [(e, *_string_ids(ends, "an edge's ends")) for e, ends in edges.items()]
         table = {}
-        for eid, src, rng in sorted(tuple(_string_ids(row, "an edge")) for row in edges):
+        for row in sorted(tuple(_string_ids(row, "an edge")) for row in edges):
+            if len(row) != 3:
+                raise GraphAlgebraError(
+                    f"an edge must be an (id, source, range) triple: {excerpt(repr(row))}"
+                )
+            eid, src, rng = row
             if eid in table:
                 raise GraphAlgebraError(f"duplicate edge id {excerpt(repr(eid))}")
             table[eid] = (src, rng)
@@ -147,14 +152,14 @@ def hereditary_closure(graph: DirectedGraph, subset: Iterable[str]) -> frozenset
     """Smallest superset closed under edge pullback.
 
     Whenever the range of an edge lies in the set, its source is added,
-    until nothing changes.
+    until nothing changes.  The set is checked once, then the walk reads
+    the graph's tables, not its accessors.
     """
-    closure = set(subset)
+    closure = set(_vertex_subset(graph, subset))
     stack = list(closure)
-    edges = graph.edges
+    edges, ins = graph.edges, graph._in
     while stack:
-        v = stack.pop()
-        for e in graph.in_edges(v):
+        for e in ins[stack.pop()]:
             s = edges[e][0]
             if s not in closure:
                 closure.add(s)
@@ -250,13 +255,14 @@ def enumerate_saturated_hereditary(graph: DirectedGraph) -> list[frozenset]:
 
 
 def reachable_ranges(graph: DirectedGraph, subset: Iterable[str]) -> frozenset:
-    """All vertices reachable forward from ``subset``, including it."""
-    reached = set(subset)
+    """All vertices reachable forward from ``subset``, including it; checked
+    once, as in :func:`hereditary_closure`."""
+    reached = set(_vertex_subset(graph, subset))
     stack = list(reached)
+    edges, outs = graph.edges, graph._out
     while stack:
-        v = stack.pop()
-        for e in graph.out_edges(v):
-            r = graph.rng(e)
+        for e in outs[stack.pop()]:
+            r = edges[e][1]
             if r not in reached:
                 reached.add(r)
                 stack.append(r)
@@ -276,7 +282,7 @@ class Cycle(Record):
     __slots__ = ("edges",)
 
     def __init__(self, edges: tuple[str, ...]):
-        ids = tuple(edges)
+        ids = tuple(_string_ids(edges, "a cycle"))
         if not ids:
             raise NotACycleError("a cycle has at least one edge")
         # the least rotation starts at the least id, which a real cycle

@@ -60,11 +60,12 @@ def is_maximal_tail(graph: DirectedGraph, subset) -> bool:
     tail = _vertex_subset(graph, subset)
     if not tail:
         return False
-    for src, rng in graph.edges.values():
+    edges, ins = graph.edges, graph._in
+    for src, rng in edges.values():
         if src in tail and rng not in tail:
             return False
     for v in tail:
-        if not any(graph.src(e) in tail for e in graph.in_edges(v)):
+        if not any(edges[e][0] in tail for e in ins[v]):
             return False
     reach = {v: reachable_ranges(graph, frozenset({v})) for v in tail}
     ancestors = {v: frozenset(w for w in tail if v in reach[w]) for v in tail}
@@ -96,7 +97,8 @@ def classify_tail(graph: DirectedGraph, subset) -> MaximalTail:
 def strongly_connected_components(graph: DirectedGraph) -> list[frozenset]:
     """Tarjan's algorithm, iteratively, in id order: a component comes after all it reaches."""
     # each vertex's successors not yet tried, in id order
-    untried = {v: iter(sorted(set(map(graph.rng, out)))) for v, out in graph._out.items()}
+    edges = graph.edges
+    untried = {v: iter(sorted({edges[e][1] for e in out})) for v, out in graph._out.items()}
     index = {}
     lowlink = {}
     on_stack = set()

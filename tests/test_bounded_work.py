@@ -4,11 +4,13 @@ A graph here is a small looped chain beside a large part that no
 argument reaches.  The graph's tables are swapped for read-only views
 that log each key looked up and refuse to be copied or walked, so a
 kernel that scans the whole graph fails, and one that reads the large
-part shows up in the log.
+part shows up in the log.  The walks, Tarjan and the tail check read
+those tables, never the per-step accessors.
 """
 
 from __future__ import annotations
 
+import random
 from collections.abc import Mapping
 from fractions import Fraction as F
 
@@ -21,16 +23,20 @@ from prim_lattice import (
     SourceVertexError,
     entrance_free_cycles,
     enumerate_saturated_hereditary,
+    enumerate_maximal_tails,
+    hereditary_closure,
     ideal_pair,
     is_saturated_hereditary,
     pair_join,
     pair_meet,
+    reachable_ranges,
     saturated_hereditary_closure,
+    saturated_hereditary_lattice,
     validate,
 )
 from prim_lattice import oracle
 from prim_lattice.tails import cycle_index, cycles_outside
-from fixtures import antichain
+from fixtures import antichain, cascade, fixture_graphs
 
 
 class Recording(Mapping):
@@ -214,3 +220,32 @@ class TestCycleLookupAgainstTheScan:
             in_edges = sum(len(g.in_edges(v)) for v in inside)
             assert len(calls) <= len(inside) + in_edges
         assert [len(c) for c in found] == [1, LARGE]
+
+
+def _refusing(name):
+    def refuse(*args):
+        raise AssertionError(f"called the accessor {name}")
+
+    return refuse
+
+
+def _graphs_to_walk():
+    rng = random.Random(44)
+    drawn = [oracle.random_graph(rng, 8, 16) for _ in range(30)]
+    return [*fixture_graphs().values(), antichain(3), cascade(5), _split_graph(size=6), *drawn]
+
+
+class TestWalksReadTheTables:
+    """The walks check their argument once at entry, then read the graph's
+    tables: on a graph whose per-step accessors raise, every answer is the same."""
+
+    @pytest.mark.parametrize("graph", _graphs_to_walk())
+    def test_same_answers_without_the_accessors(self, graph):
+        bare = DirectedGraph(graph.vertices, graph.edges)
+        for name in ("src", "rng", "in_edges", "out_edges"):
+            setattr(bare, name, _refusing(name))
+        assert enumerate_maximal_tails(bare) == enumerate_maximal_tails(graph)
+        assert saturated_hereditary_lattice(bare) == saturated_hereditary_lattice(graph)
+        starts = [(v,) for v in graph.vertices] + [graph.vertices[::2], graph.vertices]
+        for walk in (reachable_ranges, hereditary_closure, saturated_hereditary_closure):
+            assert [walk(bare, s) for s in starts] == [walk(graph, s) for s in starts]

@@ -9,8 +9,12 @@ boundary functions still reject unknown vertices and coerce no input.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -46,8 +50,10 @@ from prim_lattice import (
     random_ideal_pair,
     random_primitive,
     reachable_ranges,
+    saturated_hereditary_closure,
     zero_ideal,
 )
+import prim_lattice
 from fixtures import fixture_graphs, g_flow, g_loop
 
 
@@ -120,6 +126,40 @@ def test_unknown_vertex_rejected(call):
         call()
 
 
+# each walk on the flow graph, asked about three unknown vertices
+NAMES_AN_UNKNOWN_VERTEX = """
+from prim_lattice import DirectedGraph, hereditary_closure, reachable_ranges
+g = DirectedGraph(["u", "v"], {"a": ("u", "u"), "b": ("v", "v"), "c": ("u", "v")})
+for walk in (hereditary_closure, reachable_ranges):
+    try:
+        walk(g, {"x", "y", "z"})
+    except ValueError as err:
+        print(err)
+"""
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_the_walks_name_the_least_unknown_vertex_under_every_hash_seed(seed):
+    # a set's iteration order follows string hashing, which changes from
+    # process to process; the error must not
+    package_root = str(Path(prim_lattice.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", NAMES_AN_UNKNOWN_VERTEX],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=package_root),
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "unknown vertex 'x'\n" * 2
+
+
+@pytest.mark.parametrize("row", [(), ("a",), ("a", "u"), ("a", "u", "u", "u")], ids=len)
+def test_an_edge_row_that_is_no_triple_is_one_error_line(row):
+    with pytest.raises(GraphAlgebraError) as caught:
+        DirectedGraph(["u"], [("b", "u", "u"), row])
+    assert str(caught.value) == f"an edge must be an (id, source, range) triple: {row!r}"
+
+
 TWO_CYCLE = DirectedGraph(["u", "v"], {"a": ("u", "v"), "b": ("v", "u")})
 
 
@@ -134,6 +174,10 @@ class TestNoSilentCoercion:
         "an edge id as an integer": lambda: DirectedGraph(["u"], [(0, "u", "u")]),
         "a pair's vertices as one string": lambda: ideal_pair(g_flow, "uv", {}),
         "a cycle as one string": lambda: cycle_from_edges(TWO_CYCLE, "ab"),
+        "a cycle's edges as one string": lambda: Cycle("ab"),
+        "a closure's start as one string": lambda: hereditary_closure(g_flow, "uv"),
+        "a reach's start as one string": lambda: reachable_ranges(g_flow, "uv"),
+        "a saturation's start as one string": lambda: saturated_hereditary_closure(g_flow, "uv"),
         "an angle as a float": lambda: as_angle(0.1),
         "an angle as a bool": lambda: as_angle(True),
         "an arc endpoint as a float": lambda: OpenCircleSet.from_arcs([(0.25, 0.5)]),
