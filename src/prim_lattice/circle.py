@@ -351,10 +351,8 @@ class ClosedCircleSet(Record):
     def intersect(self, other: "ClosedCircleSet") -> "ClosedCircleSet":
         return self.complement().union(other.complement()).complement()
 
-    def is_subset(self, other: "ClosedCircleSet") -> bool:
-        if self.is_full or other.is_full:
-            return other.is_full
-        return _within(self._pieces, _lifts(other._pieces))
+    # the same test as for open sets: both read the stored pieces
+    is_subset = OpenCircleSet.is_subset
 
 
 def open_union(sets: Iterable[OpenCircleSet]) -> OpenCircleSet:

@@ -148,23 +148,25 @@ def is_hereditary(graph: DirectedGraph, subset: Iterable[str]) -> bool:
     return all(graph.src(e) in sub for v in sub for e in graph.in_edges(v))
 
 
-def hereditary_closure(graph: DirectedGraph, subset: Iterable[str]) -> frozenset:
-    """Smallest superset closed under edge pullback.
-
-    Whenever the range of an edge lies in the set, its source is added,
-    until nothing changes.  The set is checked once, then the walk reads
-    the graph's tables, not its accessors.
-    """
-    closure = set(_vertex_subset(graph, subset))
-    stack = list(closure)
-    edges, ins = graph.edges, graph._in
+def _walk(graph: DirectedGraph, subset: Iterable[str], table: dict, end: int) -> frozenset:
+    """``subset`` and every vertex reached from it along ``table`` (``_in`` or
+    ``_out``), each edge read at ``end`` (0 source, 1 range).  The set is
+    checked once, then the walk reads the graph's tables, not its accessors."""
+    reached = set(_vertex_subset(graph, subset))
+    stack = list(reached)
+    edges = graph.edges
     while stack:
-        for e in ins[stack.pop()]:
-            s = edges[e][0]
-            if s not in closure:
-                closure.add(s)
-                stack.append(s)
-    return frozenset(closure)
+        for e in table[stack.pop()]:
+            v = edges[e][end]
+            if v not in reached:
+                reached.add(v)
+                stack.append(v)
+    return frozenset(reached)
+
+
+def hereditary_closure(graph: DirectedGraph, subset: Iterable[str]) -> frozenset:
+    """Smallest superset closed under edge pullback: the sources of in-edges, walked back."""
+    return _walk(graph, subset, graph._in, 0)
 
 
 def _saturation_fixpoint(graph: DirectedGraph, start: frozenset) -> frozenset:
@@ -255,18 +257,8 @@ def enumerate_saturated_hereditary(graph: DirectedGraph) -> list[frozenset]:
 
 
 def reachable_ranges(graph: DirectedGraph, subset: Iterable[str]) -> frozenset:
-    """All vertices reachable forward from ``subset``, including it; checked
-    once, as in :func:`hereditary_closure`."""
-    reached = set(_vertex_subset(graph, subset))
-    stack = list(reached)
-    edges, outs = graph.edges, graph._out
-    while stack:
-        for e in outs[stack.pop()]:
-            r = edges[e][1]
-            if r not in reached:
-                reached.add(r)
-                stack.append(r)
-    return frozenset(reached)
+    """All vertices reachable forward from ``subset``, including it."""
+    return _walk(graph, subset, graph._out, 1)
 
 
 @total_ordering

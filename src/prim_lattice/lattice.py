@@ -241,32 +241,26 @@ def pair_join(graph: DirectedGraph, pairs: Sequence[IdealPair]) -> IdealPair:
     The vertex parts union up and close; any cycle of the intermediate
     complement whose member sets jointly cover the whole circle promotes
     its vertices into the set, and if any did the closure is taken
-    again.  On the surviving cycles the sets union up and stay proper.
+    again, once: no cycle it leaves may be covered.  On the surviving
+    cycles the sets union up and stay proper.
     """
     if not pairs:
         raise GraphAlgebraError("join of an empty family is not defined")
     pooled = frozenset().union(*(pair.vertices for pair in pairs))
     # a union of saturated hereditary sets is hereditary: only saturate it
-    base = _saturation_fixpoint(graph, pooled)
+    joined = _saturation_fixpoint(graph, pooled)
     members = _member_sets(pairs)
-    cycle_sets = [(c, open_union(members.get(c.edges, ()))) for c in cycles_outside(graph, base)]
-    promoted = {cycle_base(graph, cycle) for cycle, value in cycle_sets if value.is_full}
-    if not promoted:
-        # nothing moved: the closure of ``base`` is ``base`` with the same cycles
-        return IdealPair(base, tuple(cycle_sets))
-    joined = saturated_hereditary_closure(graph, base | promoted)
-    # each cycle's union is taken once: the pass above kept it
-    unions = {cycle.edges: value for cycle, value in cycle_sets}
-    cycle_sets = []
-    for cycle in cycles_outside(graph, joined):
-        key = cycle.edges
-        value = unions[key] if key in unions else open_union(members.get(key, ()))
-        if value.is_full:
+    for promotion in range(2):
+        cycles = cycles_outside(graph, joined)
+        cycle_sets = [(c, open_union(members.get(c.edges, ()))) for c in cycles]
+        full = [cycle for cycle, value in cycle_sets if value.is_full]
+        if not full:
+            return IdealPair(joined, tuple(cycle_sets))
+        if promotion:
             raise InternalInvariantViolation(
-                f"cycle {cycle.edges} kept a full circle set after promotion"
+                f"cycles {[c.edges for c in full]} kept a full circle set after promotion"
             )
-        cycle_sets.append((cycle, value))
-    return IdealPair(joined, tuple(cycle_sets))
+        joined = saturated_hereditary_closure(graph, joined | {cycle_base(graph, c) for c in full})
 
 
 def contained_in_prim(graph: DirectedGraph, pair: IdealPair, prim: PrimitiveIdeal) -> bool:

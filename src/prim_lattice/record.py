@@ -8,8 +8,6 @@ costs more than the rest of the package's start-up together.
 
 from __future__ import annotations
 
-from operator import attrgetter
-
 # how a constructor stores a field past ``Record.__setattr__``
 set_field = object.__setattr__
 
@@ -19,41 +17,34 @@ class Record:
 
     Two records are equal only when they are of the same class and
     their field tuples are equal, and the hash is the hash of the field
-    tuple, as for a frozen dataclass.  A slot named with a leading
-    underscore is no field: it holds data derived from the fields.
-    Assigning or deleting an attribute raises ``AttributeError``;
-    constructors store their fields with :data:`set_field`.  A subclass
-    that defines one of the generated methods itself keeps its own.
+    tuple, as for a frozen dataclass; pickling rebuilds a record from
+    that tuple.  A slot named with a leading underscore is no field: it
+    holds data derived from the fields.  Assigning or deleting an
+    attribute raises ``AttributeError``; constructors store their fields
+    with :data:`set_field`.  A subclass may override any of these
+    methods, but one that defines ``__eq__`` alone gets Python's
+    ``__hash__ = None``, as any class does.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        names = cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
-        if len(names) == 1:
-            only = attrgetter(names[0])
+        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
 
-            def astuple(self):
-                return (only(self),)
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
 
-        else:
-            astuple = attrgetter(*names)
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
 
-        def __eq__(self, other):
-            if other.__class__ is self.__class__:
-                return astuple(self) == astuple(other)
-            return NotImplemented
+    def __hash__(self):
+        return hash(self._astuple())
 
-        def __hash__(self):
-            return hash(astuple(self))
-
-        def __reduce__(self):
-            return (self.__class__, astuple(self))
-
-        for method in (__eq__, __hash__, __reduce__):
-            if method.__name__ not in vars(cls):
-                setattr(cls, method.__name__, method)
+    def __reduce__(self):
+        return (self.__class__, self._astuple())
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

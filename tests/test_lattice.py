@@ -16,6 +16,7 @@ from prim_lattice import (
     Hull,
     HullEntry,
     IdealPair,
+    InternalInvariantViolation,
     MalformedHullError,
     MaximalTail,
     OpenCircleSet,
@@ -248,6 +249,14 @@ class TestMeetJoin:
         v = ideal_pair(g_flow, set(), {A: arcs((0, "3/5"))})
         w = ideal_pair(g_flow, set(), {A: arcs(("1/2", "11/10"))})
         assert pair_join(g_flow, [v, w]) == gauge_ideal(g_flow, {"u"})
+
+    def test_join_promotes_once_and_trips_on_a_cycle_still_covered(self, monkeypatch):
+        v = ideal_pair(g_flow, set(), {A: arcs((0, "3/5"))})
+        w = ideal_pair(g_flow, set(), {A: arcs(("1/2", "11/10"))})
+        # a closure that drops the promoted cycle leaves it covered a second time
+        monkeypatch.setattr(lattice_module, "saturated_hereditary_closure", lambda g, s: frozenset())
+        with pytest.raises(InternalInvariantViolation, match=r"\[\('a',\)\] kept a full circle set"):
+            pair_join(g_flow, [v, w])
 
     def test_join_saturates_the_pooled_union_like_the_full_closure(self, monkeypatch):
         rng = random.Random(79)

@@ -23,6 +23,7 @@ from prim_lattice import (
     finite_closed_set,
     zero_ideal,
 )
+from prim_lattice.record import Record, set_field
 from fixtures import g_flow, g_loop
 
 LOOP_TAIL = classify_tail(g_loop, {"v"})
@@ -158,6 +159,20 @@ class TestConstruction:
         assert not report.passed
         with pytest.raises(TypeError):
             hash(report)
+
+    def test_a_subclass_defining_eq_alone_is_unhashable(self):
+        class Named(Record):
+            __slots__ = ("name",)
+
+            def __init__(self, name):
+                set_field(self, "name", name)
+
+            def __eq__(self, other):
+                return isinstance(other, Named) and self.name.lower() == other.name.lower()
+
+        assert Named("A") == Named("a") and Named.__hash__ is None
+        with pytest.raises(TypeError):
+            hash(Named("a"))
 
 
 class TestPackageSurface:
