@@ -51,9 +51,9 @@ class DirectedGraph:
     def __init__(self, vertices: Iterable[str], edges=()) -> None:
         self.vertices = tuple(sorted(set(_string_ids(vertices, "a graph's vertices"))))
         if isinstance(edges, Mapping):
-            edges = [(e, *_string_ids(ends, "an edge's ends")) for e, ends in edges.items()]
+            edges = [(e, *_ordered_ids(ends, "an edge's ends")) for e, ends in edges.items()]
         table = {}
-        for row in sorted(tuple(_string_ids(row, "an edge")) for row in edges):
+        for row in sorted(tuple(_ordered_ids(row, "an edge")) for row in edges):
             if len(row) != 3:
                 raise GraphAlgebraError(
                     f"an edge must be an (id, source, range) triple: {excerpt(repr(row))}"
@@ -133,6 +133,15 @@ def _string_ids(values: Iterable[str], what: str) -> list:
         if not isinstance(v, str):
             raise GraphAlgebraError(f"{what} must list string ids: {excerpt(repr(values))}")
     return ids
+
+
+def _ordered_ids(values: Iterable[str], what: str) -> list:
+    """``values`` as a list of ids whose order carries meaning: a set, which
+    iterates in string-hash order, is refused, not read in that order."""
+    if isinstance(values, (set, frozenset)):
+        kind = type(values).__name__
+        raise GraphAlgebraError(f"{what} must list string ids in order, not as a {kind}")
+    return _string_ids(values, what)
 
 
 def _vertex_subset(graph: DirectedGraph, subset: Iterable[str]) -> frozenset:
@@ -274,7 +283,7 @@ class Cycle(Record):
     __slots__ = ("edges",)
 
     def __init__(self, edges: tuple[str, ...]):
-        ids = tuple(_string_ids(edges, "a cycle"))
+        ids = tuple(_ordered_ids(edges, "a cycle"))
         if not ids:
             raise NotACycleError("a cycle has at least one edge")
         # the least rotation starts at the least id, which a real cycle
@@ -294,7 +303,7 @@ class Cycle(Record):
 
 def cycle_from_edges(graph: DirectedGraph, edge_ids: Iterable[str]) -> Cycle:
     """Validate an edge sequence as a cycle of ``graph``, then canonicalise it: O(n)."""
-    ids = tuple(_string_ids(edge_ids, "a cycle"))
+    ids = tuple(_ordered_ids(edge_ids, "a cycle"))
     for e in ids:
         if e not in graph.edges:
             raise NotACycleError(f"unknown edge {excerpt(repr(e))}")

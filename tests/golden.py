@@ -8,7 +8,10 @@ and stderr.  The cases come in groups:
   ``perfbench/families.py``) with at most 48 vertices;
 * ``random``: 80 graphs drawn by ``oracle.random_graph(rng, 8, 16)``;
 * ``malformed-12`` to ``malformed-14``: the malformed-input sweep of
-  ``test_bad_input.py`` at seeds 12, 13 and 14.
+  ``test_bad_input.py`` at seeds 12, 13 and 14;
+* ``unknown-vertices``: on the three fixture graphs, pairs, tails and
+  primitives that name two to five vertices the graph does not declare,
+  so each error line must name the least of them under every hash seed.
 
 On each graph every command but ``oracle`` runs once, with arguments
 drawn from a seed fixed per graph, and ``gauge-lattice`` runs once more
@@ -98,6 +101,37 @@ def _malformed_cases(seed: int):
         yield argv[0], str(i), argv
 
 
+# ids that no graph of the corpus declares
+GHOSTS = tuple(f"{letter}{digit}" for letter in "pqrst" for digit in range(4))
+
+
+def _unknown_cases():
+    """Commands whose pairs, tails and primitives name several undeclared vertices."""
+    rng = random.Random("golden:unknown")
+    for key, graph in fixture_graphs().items():
+        doc = jsonio.graph_to_json(graph)
+
+        def named():
+            ids = rng.sample(GHOSTS, rng.randint(2, 5)) + [rng.choice(doc["vertices"])]
+            rng.shuffle(ids)
+            return ids
+
+        for i in range(4):
+            pair, prim = {"H": named(), "U": []}, {"tail": {"vertices": named()}, "z": "0"}
+            stratum = {"tail": {"vertices": named()}, "allowed": {"arcs": [], "points": ["0"]}}
+            flags = {
+                "leq": ["-p", pair, "-q", pair],
+                "meet": ["-P", [pair, pair]],
+                "join": ["-P", [pair]],
+                "hull": ["-p", pair],
+                "from-hull": ["-H", [stratum]],
+                "closure": ["-X", [prim], "-t", prim],
+                "contains": ["-p", {"H": doc["vertices"], "U": []}, "-r", prim],
+            }
+            for command, rest in flags.items():
+                yield command, f"{key}-{i}", [command, "-g", doc, *rest]
+
+
 def groups() -> dict:
     """Each group's name and a function yielding its cases."""
     family_keys = sorted(
@@ -116,6 +150,7 @@ def groups() -> dict:
     }
     for seed in MALFORMED_SEEDS:
         found[f"malformed-{seed}"] = lambda seed=seed: _malformed_cases(seed)
+    found["unknown-vertices"] = _unknown_cases
     return found
 
 

@@ -11,7 +11,7 @@ import golden
 EXPECTED = json.loads(golden.GOLDEN.read_text())
 
 
-@pytest.mark.parametrize("group", ["fixtures", "random"])
+@pytest.mark.parametrize("group", ["fixtures", "random", "unknown-vertices"])
 def test_command_output_matches_the_golden_digests(group):
     assert golden.digests(golden.groups()[group]()) == EXPECTED[group]
 

@@ -81,8 +81,10 @@ def tracer():
         (["from-hull", "-g", G_LOOP, "-H", HULL], {"jsonio.hull_from_json": 1}, "lattice.hull_to_pair"),
         (["sat-hered", "-g", G_LOOP], {}, "graph.enumerate_saturated_hereditary"),
         (["gauge-lattice", "-g", G_LOOP], {}, "graph.hereditary_closure"),
+        (["tails", "-g", G_LOOP], {}, "tails.is_maximal_tail"),
+        (["prims", "-g", G_LOOP], {}, "tails.is_maximal_tail"),
     ],
-    ids=["hull", "meet", "closure", "from-hull", "sat-hered", "gauge-lattice"],
+    ids=["hull", "meet", "closure", "from-hull", "sat-hered", "gauge-lattice", "tails", "prims"],
 )
 def test_tracer_sees_each_layer_of_a_command(tracer, capsys, argv, reads, operation):
     tracer.begin(0)
@@ -95,3 +97,7 @@ def test_tracer_sees_each_layer_of_a_command(tracer, capsys, argv, reads, operat
     assert {name: calls.get(name, 0) for name in reads} == reads
     for name in ["jsonio.graph_from_json", "graph.validate", operation]:
         assert calls.get(name, 0) > 0, f"{name} untraced; traced: {sorted(calls)}"
+    if argv[0] in ("tails", "prims"):
+        # the tail builder itself walks by the public name, not only the check inside it
+        walks = calls.get("graph.reachable_ranges", 0)
+        assert walks > tracer.descendant_count("graph.reachable_ranges", "tails.is_maximal_tail")

@@ -51,6 +51,7 @@ from prim_lattice import (
     random_primitive,
     reachable_ranges,
     saturated_hereditary_closure,
+    tail_of_cycle,
     zero_ideal,
 )
 import prim_lattice
@@ -153,6 +154,42 @@ def test_the_walks_name_the_least_unknown_vertex_under_every_hash_seed(seed):
     assert result.stdout == "unknown vertex 'x'\n" * 2
 
 
+# ids whose order carries meaning, given as sets, which iterate in hash order
+ORDERED_IDS_AS_SETS = """
+from prim_lattice import Cycle, DirectedGraph, GraphAlgebraError
+for build in (
+    lambda: DirectedGraph(["u", "v"], [{"e", "u", "v"}, ("a", "u", "u"), ("b", "v", "v")]),
+    lambda: DirectedGraph(["u", "v"], {"e": {"u", "v"}, "a": ("u", "u"), "b": ("v", "v")}),
+    lambda: Cycle({"x", "y", "z"}),
+):
+    try:
+        print(build())
+    except GraphAlgebraError as err:
+        print(err)
+"""
+
+
+def test_ordered_ids_given_as_a_set_are_refused_under_every_hash_seed():
+    # read in hash order, the first row built e: v->u under some seeds and
+    # named a dangling endpoint under others, and the cycle's rotation varied
+    package_root = str(Path(prim_lattice.__file__).resolve().parent.parent)
+    outputs = set()
+    for seed in range(1, 5):
+        result = subprocess.run(
+            [sys.executable, "-c", ORDERED_IDS_AS_SETS],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=package_root),
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        outputs.add(result.stdout)
+    assert outputs == {
+        "an edge must list string ids in order, not as a set\n"
+        "an edge's ends must list string ids in order, not as a set\n"
+        "a cycle must list string ids in order, not as a set\n"
+    }
+
+
 @pytest.mark.parametrize("row", [(), ("a",), ("a", "u"), ("a", "u", "u", "u")], ids=len)
 def test_an_edge_row_that_is_no_triple_is_one_error_line(row):
     with pytest.raises(GraphAlgebraError) as caught:
@@ -175,6 +212,14 @@ class TestNoSilentCoercion:
         "a pair's vertices as one string": lambda: ideal_pair(g_flow, "uv", {}),
         "a cycle as one string": lambda: cycle_from_edges(TWO_CYCLE, "ab"),
         "a cycle's edges as one string": lambda: Cycle("ab"),
+        "an edge row as a set": lambda: DirectedGraph(["u"], [{"a", "u"}]),
+        "an edge's ends as a set": lambda: DirectedGraph(["u", "v"], {"a": {"u", "v"}}),
+        "a cycle's edges as a set": lambda: Cycle({"a", "b"}),
+        "a cycle as a frozenset": lambda: cycle_from_edges(TWO_CYCLE, frozenset({"a", "b"})),
+        "an assignment key as a frozenset": lambda: ideal_pair(
+            TWO_CYCLE, (), {frozenset({"a", "b"}): OpenCircleSet()}
+        ),
+        "a tail's cycle as a set": lambda: tail_of_cycle(TWO_CYCLE, {"a", "b"}),
         "a closure's start as one string": lambda: hereditary_closure(g_flow, "uv"),
         "a reach's start as one string": lambda: reachable_ranges(g_flow, "uv"),
         "a saturation's start as one string": lambda: saturated_hereditary_closure(g_flow, "uv"),
