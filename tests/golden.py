@@ -11,14 +11,16 @@ and stderr.  The cases come in groups:
   ``test_bad_input.py`` at seeds 12, 13 and 14;
 * ``unknown-vertices``: on the three fixture graphs, pairs, tails and
   primitives that name two to five vertices the graph does not declare,
-  so each error line must name the least of them under every hash seed.
+  four draws per graph, so each error line must name the least of them
+  under every hash seed.
 
-On each graph every command but ``oracle`` runs once, with arguments
-drawn from a seed fixed per graph, and ``gauge-lattice`` runs once more
-with ``--dot``.  ``golden.json`` keeps one SHA-256 digest per group and
-command.  A case that exits 4 (a bug, whose traceback names local paths)
-stops the run.  pytest does not collect this file; ``test_golden.py``
-checks the ``fixtures`` group.  Run it from the repository root:
+On each graph of the first three groups every command but ``oracle``
+runs once, with arguments drawn from a seed fixed per graph, and
+``gauge-lattice`` runs once more with ``--dot``.  ``golden.json`` keeps
+one SHA-256 digest per group and command.  A case that exits 4 (a bug,
+whose traceback names local paths) stops the run.  pytest does not
+collect this file; ``test_golden.py`` checks the ``fixtures``, ``random``
+and ``unknown-vertices`` groups.  Run it from the repository root:
 
     PYTHONPATH=src python tests/golden.py          # check, PYTHONHASHSEED 0, 1, 2
     PYTHONPATH=src python tests/golden.py --write  # regenerate golden.json
