@@ -14,9 +14,10 @@ unmergeable and sorted by start, so structural equality is set equality.
 So at most one arc, the last, ends past ``1``, and it ends by the first
 start plus one: the arcs followed by the same arcs one turn up are still
 sorted and disjoint, on ``[0, 2)``.  Closed sets keep the same order
-over their arcs and points taken together.  Each set operation is one
-merge pass that relies on this order, and builds its result directly;
-only outside input goes through the checks in the constructors.
+over their arcs and points taken together.  Union is one merge pass that
+relies on this order, complement one pass over the gaps, and intersection
+the gaps of the union of gaps.  Each builds its result directly; only
+outside input goes through the checks in the constructors.
 
 Endpoints are exact rationals that the merge passes compare as plain
 integers, each by its own numerator and denominator: ``a/b < c/d`` is
@@ -29,6 +30,7 @@ n times their digits, where a cross product has the digits of two.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable
 from fractions import Fraction
 from operator import le, lt
@@ -41,6 +43,19 @@ Angle = Fraction
 # what ``Fraction`` raises for a bad or overlong literal, ``"1/0"`` and infinity
 _NOT_RATIONAL = (ValueError, ZeroDivisionError, OverflowError)
 
+# the one string form of an angle, ``-1/2`` or ``3``: ``Fraction`` alone also reads
+# decimals, spaces, signs and exponents, and expands ``1e30000000`` digit by digit;
+# 4000 digits a number keep derived endpoints below Python's 4300-digit print limit
+_FRACTION = re.compile(r"-?[0-9]{1,4000}(?:/[0-9]{1,4000})?")
+
+
+def _rational(value) -> Fraction:
+    """``Fraction(value)``, refusing a string of any other form than ``_FRACTION``
+    with a ``GraphAlgebraError``, a ``ValueError`` that callers word as ``Fraction``'s."""
+    if isinstance(value, str) and not _FRACTION.fullmatch(value):
+        raise GraphAlgebraError(f"{excerpt(repr(value))} is not a fraction string")
+    return Fraction(value)
+
 
 def as_angle(value) -> Fraction:
     """Coerce a fraction, integer or ``p/q`` string onto the circle."""
@@ -49,7 +64,7 @@ def as_angle(value) -> Fraction:
     if isinstance(value, (float, bool)):
         raise GraphAlgebraError(f"angle {value!r} is a {type(value).__name__}, not exact")
     try:
-        return Fraction(value) % 1
+        return _rational(value) % 1
     except _NOT_RATIONAL as err:
         raise GraphAlgebraError(f"angle {excerpt(str(value))} is not a finite rational") from err
 
@@ -77,7 +92,7 @@ def _normalise(raw, points, joins) -> tuple[list, bool]:
         if isinstance(a, (float, bool)) or isinstance(b, (float, bool)):
             raise GraphAlgebraError(f"{kind} arc {excerpt(repr((a, b)))} has an inexact endpoint")
         try:
-            a, b = Fraction(a), Fraction(b)
+            a, b = _rational(a), _rational(b)
         except _NOT_RATIONAL as err:
             fault = "has an endpoint that is not a finite rational"
             raise GraphAlgebraError(f"{kind} arc {excerpt(f'({a}, {b})')} {fault}") from err
@@ -142,19 +157,18 @@ def _coalesce(pieces, joins) -> tuple[list, bool]:
 
 
 def _lifts(pieces):
-    """Canonical pieces lifted over ``[0, 2)``, still sorted and disjoint, as
-    ``(start n, start d, end n, end d, turns, piece)``: the last one turn
-    down, all as stored, then all one turn up."""
+    """Canonical pieces lifted over ``[0, 2)``, still sorted and disjoint, as integers
+    ``(start n, start d, end n, end d)``: the last one turn down, all, all one turn up."""
     for p in pieces[-1:]:
-        yield p[2] - p[3], p[3], p[4] - p[5], p[5], -1, p
+        yield p[2] - p[3], p[3], p[4] - p[5], p[5]
     for p in pieces:
-        yield p[2], p[3], p[4], p[5], 0, p
+        yield p[2], p[3], p[4], p[5]
     for p in pieces:
-        yield p[2] + p[3], p[3], p[4] + p[5], p[5], 1, p
+        yield p[2] + p[3], p[3], p[4] + p[5], p[5]
 
 
 # a lift beyond every stored piece, standing in once a cover runs out
-_PAST = (3, 1, 3, 1, 0, None)
+_PAST = (3, 1, 3, 1)
 
 
 def _gaps(pieces) -> list:
@@ -177,7 +191,7 @@ def _within(pieces, cover) -> bool:
     for _, _, an, ad, bn, bd in pieces:
         # the first lift to reach b is the only one that can hold (a, b)
         while dn * bd < bn * dd:
-            cn, cd, dn, dd, _, _ = next(cover, _PAST)
+            cn, cd, dn, dd = next(cover, _PAST)
         if an * cd < cn * ad:
             return False
     return True
@@ -247,32 +261,7 @@ class OpenCircleSet(Record):
         return open_union((self, other))
 
     def intersect(self, other: "OpenCircleSet") -> "OpenCircleSet":
-        if self.is_full:
-            return other
-        if other.is_full:
-            return self
-        # the stored pieces against the other set's lifts; a piece past the
-        # seam comes from a lift one turn up and leads once taken a turn down
-        wrapped, pieces = [], []
-        cover = _lifts(other._pieces)
-        cn, cd, dn, dd, turns, lift = next(cover, _PAST)
-        for a, b, an, ad, bn, bd in self._pieces:
-            while True:
-                # the overlap runs from the later start to the earlier end
-                later, earlier = an * cd < cn * ad, dn * bd < bn * dd
-                if an * dd < dn * ad and cn * bd < bn * cd:
-                    # a piece on a lift one turn up is stored a turn down, so
-                    # only an end of b - 1, or of a lift one turn down, is new
-                    x, xn, xd = (lift[0], lift[2], lift[3]) if later else (a, an, ad)
-                    if earlier:
-                        y, yn, yd = (lift[1], lift[4], lift[5]) if turns >= 0 else (lift[1] - 1, dn, dd)
-                    else:
-                        y, yn, yd = (b, bn, bd) if turns <= 0 else (b - 1, bn - bd, bd)
-                    (wrapped if turns > 0 else pieces).append((x, y, xn, xd, yn, yd))
-                if not earlier:
-                    break
-                cn, cd, dn, dd, turns, lift = next(cover, _PAST)
-        return _trusted(OpenCircleSet, wrapped + pieces)
+        return _meet(OpenCircleSet, self, other, le)
 
     def is_subset(self, other: "OpenCircleSet") -> bool:
         if self.is_full or other.is_full:
@@ -349,7 +338,7 @@ class ClosedCircleSet(Record):
         return _trusted(ClosedCircleSet, *_coalesce(_in_order([self._pieces, other._pieces]), le))
 
     def intersect(self, other: "ClosedCircleSet") -> "ClosedCircleSet":
-        return self.complement().union(other.complement()).complement()
+        return _meet(ClosedCircleSet, self, other, lt)
 
     # the same test as for open sets: both read the stored pieces
     is_subset = OpenCircleSet.is_subset
@@ -366,6 +355,18 @@ def open_union(sets: Iterable[OpenCircleSet]) -> OpenCircleSet:
     if len(members) == 1:
         return members[0]
     return _trusted(OpenCircleSet, *_coalesce(_in_order([v._pieces for v in members]), lt))
+
+
+def _meet(cls, first, second, joins):
+    """The intersection of two sets of class ``cls``: the gaps of the union of
+    their gaps, which ``joins`` merges (``<=`` for the closed gaps of open
+    sets).  A full or empty operand is answered before any pass."""
+    if first.is_full or second.is_empty():
+        return second
+    if second.is_full or first.is_empty():
+        return first
+    pieces, is_full = _coalesce(_in_order([_gaps(first._pieces), _gaps(second._pieces)]), joins)
+    return _trusted(cls, [] if is_full else _gaps(pieces))
 
 
 def finite_closed_set(angles: Iterable) -> ClosedCircleSet:

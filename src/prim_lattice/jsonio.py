@@ -11,7 +11,6 @@ reader does not know.
 from __future__ import annotations
 
 import json
-import re
 
 from .errors import GraphAlgebraError, MalformedHullError, NotAMaximalTailError, excerpt
 from .graph import DirectedGraph, cycle_from_edges
@@ -51,11 +50,9 @@ def _ids(value, what: str) -> list:
     return value
 
 
-# 4000 digits a number keep derived endpoints below Python's 4300-digit print limit
-_FRACTION = re.compile(r"-?[0-9]{1,4000}(?:/[0-9]{1,4000})?")
-
-
 def _angle(value, what: str = "angle"):
+    from .circle import _FRACTION
+
     if type(value) is int or isinstance(value, str) and _FRACTION.fullmatch(value):
         return value
     form = " (as '-1/2' or '3', at most 4000 digits a number)" if isinstance(value, str) else ""

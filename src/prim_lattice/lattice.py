@@ -146,21 +146,14 @@ def prim_to_pair(graph: DirectedGraph, prim: PrimitiveIdeal) -> IdealPair:
     """
     tail = prim.tail
     complement = frozenset(graph.vertices) - tail.vertices
+    own = [tail.cycle] if tail.is_cyclic else []
     cycles = cycles_outside(graph, complement)
-    if tail.is_cyclic:
-        if cycles != [tail.cycle]:
-            raise InternalInvariantViolation(
-                f"tail {sorted(tail.vertices)} should leave exactly its own "
-                f"cycle entrance-free, found {[c.edges for c in cycles]}"
-            )
-        cycle_sets = ((tail.cycle, punctured_circle(prim.angle)),)
-    else:
-        if cycles:
-            raise InternalInvariantViolation(
-                f"aperiodic tail {sorted(tail.vertices)} has entrance-free "
-                f"cycles {[c.edges for c in cycles]}"
-            )
-        cycle_sets = ()
+    if cycles != own:
+        raise InternalInvariantViolation(
+            f"tail {sorted(tail.vertices)} should leave exactly the entrance-free "
+            f"cycles {[c.edges for c in own]}, found {[c.edges for c in cycles]}"
+        )
+    cycle_sets = tuple((c, punctured_circle(prim.angle)) for c in own)
     return IdealPair(complement, cycle_sets)
 
 

@@ -15,17 +15,20 @@ import io
 import json
 import random
 import time
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 import prim_lattice
 from prim_lattice import lattice
-from prim_lattice.circle import OpenCircleSet
+from prim_lattice.circle import ClosedCircleSet, OpenCircleSet, as_angle, finite_closed_set
 from prim_lattice.cli import main
 from prim_lattice.errors import GraphAlgebraError, InternalInvariantViolation
 from prim_lattice.graph import entrance_free_cycles, enumerate_saturated_hereditary
+from prim_lattice.jsonio import graph_from_json
 from prim_lattice.oracle import random_graph
+from prim_lattice.tails import classify_tail
 from fixtures import g_flow
 
 SRC = Path(prim_lattice.__file__).resolve().parent
@@ -106,15 +109,20 @@ class TestLongCycles:
         )
 
 
+OUTSIDE_THE_GRAMMAR = [
+    "1e3000000", "1e400", "1e-1000000", "0.5", " 1/2", "+1/2", "1/-2", "١/٢", "", "x",
+    "1" * 4001, "1/" + "7" * 4001,
+]
+
+
+def _angle_id(angle: str) -> str:
+    return repr(angle) if len(angle) < 20 else f"{angle[:3]}...{len(angle)}-chars"
+
+
 class TestAngleGrammar:
     """An angle is an integer, or a string of ASCII digits ``-?n`` or ``-?p/q``."""
 
-    @pytest.mark.parametrize(
-        "angle",
-        ["1e3000000", "1e400", "1e-1000000", "0.5", " 1/2", "+1/2", "1/-2", "١/٢", "", "x",
-         "1" * 4001, "1/" + "7" * 4001],
-        ids=lambda angle: repr(angle) if len(angle) < 20 else f"{angle[:3]}...{len(angle)}-chars",
-    )
+    @pytest.mark.parametrize("angle", OUTSIDE_THE_GRAMMAR, ids=_angle_id)
     def test_rejected_where_it_is_read(self, angle):
         for argv in [
             ("contains", "-g", LOOP, "-p", _pair("empty"), "-r", _prim(angle)),
@@ -126,6 +134,30 @@ class TestAngleGrammar:
             assert code == 1 and out == ""
             assert_one_short_line(err)
             assert "must be a fraction string or an integer" in err
+
+    @pytest.mark.parametrize(
+        "angle", [*OUTSIDE_THE_GRAMMAR, "1e30000000", "٣/4", "1/0", "0/0"], ids=_angle_id
+    )
+    def test_rejected_by_the_library_constructors(self, angle):
+        tail = classify_tail(graph_from_json(LOOP), ["v"])
+        for build in [
+            as_angle,
+            lambda z: lattice.PrimitiveIdeal(tail, z),
+            lambda z: OpenCircleSet((("0", z),)),
+            lambda z: ClosedCircleSet(((z, "1"),)),
+            lambda z: finite_closed_set([z]),
+        ]:
+            start = time.perf_counter()
+            with pytest.raises(GraphAlgebraError, match="not a finite rational$"):
+                build(angle)
+            assert time.perf_counter() - start < 1
+
+    def test_the_library_takes_the_grammar(self):
+        tail = classify_tail(graph_from_json(LOOP), ["v"])
+        assert [as_angle(z) for z in ("-1/2", "3", "1/3")] == [F(1, 2), 0, F(1, 3)]
+        assert lattice.PrimitiveIdeal(tail, "-1/2").angle == F(1, 2)
+        assert OpenCircleSet((("-1/2", "1/3"),)).arcs == ((F(1, 2), F(4, 3)),)
+        assert finite_closed_set(["-1/2", "3", "1/3"]).points == (0, F(1, 3), F(1, 2))
 
     @pytest.mark.parametrize("angle", ["1/0", "0/0"])
     def test_no_finite_rational(self, angle):

@@ -173,6 +173,15 @@ class TestOperations:
         assert empty.complement() == ClosedCircleSet.full()
         assert ClosedCircleSet.full().interior() == full
 
+    def test_closed_full_and_empty_algebra(self):
+        full, empty = ClosedCircleSet.full(), ClosedCircleSet.empty()
+        point = finite_closed_set([F(1, 3)])
+        assert point.union(full) == full and full.union(point) == full
+        assert point.union(empty) == point and empty.union(point) == point
+        assert point.intersect(full) == point and full.intersect(point) == point
+        assert point.intersect(empty) == empty and empty.intersect(point) == empty
+        assert full.intersect(empty) == empty and full.intersect(full) == full
+
     def test_interior_drops_points(self):
         c = ClosedCircleSet(((F(0), F(1, 4)),), (F(1, 2),))
         assert c.interior() == OpenCircleSet.from_arcs([(F(0), F(1, 4))])
@@ -374,6 +383,27 @@ class TestMergeKernels:
         assert not finite_closed_set([F(1, 2)]).is_subset(wrap)
         assert ClosedCircleSet.empty().is_subset(finite_closed_set([0]))
         assert not ClosedCircleSet.full().is_subset(wrap)
+
+
+class TestMeetByComplements:
+    """Open and closed sets meet through one routine, the gaps of the union
+    of the operands' gaps; a full or empty operand is answered before it."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_against_the_pairwise_formula_with_full_and_empty_operands(self, seed):
+        rng = random.Random(f"meets:{seed}")
+        extremes = [OpenCircleSet.full(), OpenCircleSet.empty()]
+        for _ in range(100):
+            a = _query_set(rng, QUERY_DENOMINATORS)
+            for b in [*extremes, _query_set(rng, QUERY_DENOMINATORS)]:
+                for x, y in ((a, b), (b, a)):
+                    meet = x.intersect(y)
+                    _assert_canonical(meet)
+                    assert meet == _pairwise_intersect(x, y)
+                    # the closed sets meet where their open complements' union is not
+                    closed_meet = x.complement().intersect(y.complement())
+                    _assert_canonical(closed_meet)
+                    assert closed_meet == _pairwise_union(x, y).complement()
 
 
 class TestKernelWork:

@@ -72,9 +72,19 @@ class TestConstruction:
         with pytest.raises(UnknownVertexError):
             g_flow.in_edges("w")
 
+    def test_out_edges_unknown_vertex(self):
+        with pytest.raises(UnknownVertexError):
+            g_flow.out_edges("w")
+
     def test_equality(self):
         assert g_flow == g_flow
         assert g_flow != g_double
+
+    def test_equality_with_other_types_hash_and_repr(self):
+        assert g_flow.__eq__(g_flow.edges) is NotImplemented and g_flow != "g_flow"
+        same = DirectedGraph(reversed(g_flow.vertices), dict(g_flow.edges))
+        assert same == g_flow and hash(same) == hash(g_flow)
+        assert eval(repr(g_flow), {"DirectedGraph": DirectedGraph}) == g_flow
 
 
 class TestValidate:

@@ -72,6 +72,8 @@ class TestCircleCodecs:
         wrap = punctured_circle(F(1, 2))
         assert jsonio.open_set_to_json(wrap) == [["1/2", "3/2"]]
         assert jsonio.open_set_from_json([["1/2", "3/2"]]) == wrap
+        assert jsonio.open_set_from_json("full") == OpenCircleSet.full()
+        assert jsonio.open_set_from_json("empty") == OpenCircleSet.empty()
         with pytest.raises(ValueError):
             jsonio.open_set_from_json({"arcs": []})
 
@@ -89,6 +91,8 @@ class TestCircleCodecs:
             "arcs": [["0", "1/4"]],
             "points": ["1/2"],
         }
+        assert jsonio.closed_set_from_json("full") == ClosedCircleSet.full()
+        assert jsonio.closed_set_from_json("empty") == ClosedCircleSet.empty()
         with pytest.raises(ValueError):
             jsonio.closed_set_from_json(["1/2"])
 

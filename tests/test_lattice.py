@@ -149,6 +149,15 @@ class TestPrimPairTranslation:
         small = prim_to_pair(g_flow, PrimitiveIdeal(FLOW_SMALL, F(1, 2)))
         assert small == ideal_pair(g_flow, {"u"}, {B: punctured_circle(F(1, 2))})
 
+    def test_prim_to_pair_trips_on_any_other_cycle_list(self, monkeypatch):
+        # a cyclic tail must leave exactly its own cycle, an aperiodic one none
+        monkeypatch.setattr(lattice_module, "cycles_outside", lambda g, s: [])
+        with pytest.raises(InternalInvariantViolation, match=r"\[\('a',\)\], found \[\]"):
+            prim_to_pair(g_flow, PrimitiveIdeal(FLOW_BIG, 0))
+        monkeypatch.setattr(lattice_module, "cycles_outside", lambda g, s: [Cycle(("a",))])
+        with pytest.raises(InternalInvariantViolation, match=r"\[\], found \[\('a',\)\]"):
+            prim_to_pair(g_double, PrimitiveIdeal(DOUBLE_TAIL, 0))
+
     def test_as_primitive_recognises_co_point_sets(self):
         p = ideal_pair(g_loop, set(), {A: punctured_circle(0)})
         assert as_primitive(g_loop, p) == PrimitiveIdeal(LOOP_TAIL, 0)
