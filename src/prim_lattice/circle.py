@@ -260,8 +260,8 @@ class OpenCircleSet(Record):
     def union(self, other: "OpenCircleSet") -> "OpenCircleSet":
         return open_union((self, other))
 
-    def intersect(self, other: "OpenCircleSet") -> "OpenCircleSet":
-        return _meet(OpenCircleSet, self, other, le)
+    def intersect(self, *others: "OpenCircleSet") -> "OpenCircleSet":
+        return _meet(OpenCircleSet, (self, *others), le)
 
     def is_subset(self, other: "OpenCircleSet") -> bool:
         if self.is_full or other.is_full:
@@ -338,7 +338,7 @@ class ClosedCircleSet(Record):
         return _trusted(ClosedCircleSet, *_coalesce(_in_order([self._pieces, other._pieces]), le))
 
     def intersect(self, other: "ClosedCircleSet") -> "ClosedCircleSet":
-        return _meet(ClosedCircleSet, self, other, lt)
+        return _meet(ClosedCircleSet, (self, other), lt)
 
     # the same test as for open sets: both read the stored pieces
     is_subset = OpenCircleSet.is_subset
@@ -357,15 +357,20 @@ def open_union(sets: Iterable[OpenCircleSet]) -> OpenCircleSet:
     return _trusted(OpenCircleSet, *_coalesce(_in_order([v._pieces for v in members]), lt))
 
 
-def _meet(cls, first, second, joins):
-    """The intersection of two sets of class ``cls``: the gaps of the union of
-    their gaps, which ``joins`` merges (``<=`` for the closed gaps of open
-    sets).  A full or empty operand is answered before any pass."""
-    if first.is_full or second.is_empty():
-        return second
-    if second.is_full or first.is_empty():
-        return first
-    pieces, is_full = _coalesce(_in_order([_gaps(first._pieces), _gaps(second._pieces)]), joins)
+def _meet(cls, sets, joins):
+    """The intersection of one or more sets of class ``cls``: the gaps of the
+    union, in one merge pass, of every proper member's gaps, which ``joins``
+    merges (``<=`` for the closed gaps of open sets).  An empty member is the
+    answer at once, full members drop out, and one proper member is its own."""
+    proper = []
+    for value in sets:
+        if value.is_empty():
+            return value
+        if not value.is_full:
+            proper.append(value)
+    if len(proper) < 2:
+        return proper[0] if proper else sets[0]
+    pieces, is_full = _coalesce(_in_order([_gaps(v._pieces) for v in proper]), joins)
     return _trusted(cls, [] if is_full else _gaps(pieces))
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from functools import reduce
 
 from .circle import (
     ClosedCircleSet, OpenCircleSet, as_angle, finite_closed_set, open_union, punctured_circle,
@@ -34,10 +33,12 @@ from .graph import (
 from .record import Record, set_field
 from .tails import (
     MaximalTail,
+    _tail_at,
     classify_tail,
     cycle_index,
     cycles_outside,
     enumerate_maximal_tails,
+    tail_sort_key,
 )
 
 class PrimitiveIdeal(Record):
@@ -224,7 +225,7 @@ def pair_meet(graph: DirectedGraph, pairs: Sequence[IdealPair]) -> IdealPair:
             raise InternalInvariantViolation(
                 f"no member constrains cycle {cycle.edges} in a finite meet"
             )
-        cycle_sets.append((cycle, reduce(OpenCircleSet.intersect, values)))
+        cycle_sets.append((cycle, values[0].intersect(*values[1:])))
     return IdealPair(met, tuple(cycle_sets))
 
 
@@ -326,13 +327,17 @@ class Hull(Record):
 
 
 def hull(graph: DirectedGraph, pair: IdealPair) -> Hull:
-    """The hull of an ideal: every primitive ideal containing it."""
+    """The hull of an ideal: every primitive ideal containing it.
+
+    A tail's stratum survives when the tail misses the vertex set, which,
+    saturated hereditary, it does exactly when it misses the tail's generator
+    (see :func:`contained_in_prim`).  So only the surviving tails are built.
+    """
     index = cycle_index(graph)
     sets = pair.assignment
+    kept = [i for i in index.generators if index.vertex[i] not in pair.vertices]
     entries = []
-    for tail in enumerate_maximal_tails(graph):
-        if index.vertex[index.generator(tail)] in pair.vertices:
-            continue
+    for tail in sorted((_tail_at(graph, index, i) for i in kept), key=tail_sort_key):
         if not tail.is_cyclic:
             allowed = finite_closed_set([Fraction(0)])
         elif tail.cycle in sets:

@@ -7,8 +7,9 @@ and stderr.  The cases come in groups:
 * ``families``: every graph of the benchmark catalogue (built by
   ``perfbench/families.py``) with at most 48 vertices;
 * ``random``: 80 graphs drawn by ``oracle.random_graph(rng, 8, 16)``;
-* ``malformed-12`` to ``malformed-14``: the malformed-input sweep of
-  ``test_bad_input.py`` at seeds 12, 13 and 14;
+* ``malformed-12`` to ``malformed-14``: the malformed command lines of
+  ``malformed.py`` at seeds 12, 13 and 14 (``test_bad_input.py`` sweeps
+  seed 12);
 * ``unknown-vertices``: on the three fixture graphs, pairs, tails and
   primitives that name two to five vertices the graph does not declare,
   four draws per graph, so each error line must name the least of them
@@ -19,8 +20,9 @@ runs once, with arguments drawn from a seed fixed per graph, and
 ``gauge-lattice`` runs once more with ``--dot``.  ``golden.json`` keeps
 one SHA-256 digest per group and command.  A case that exits 4 (a bug,
 whose traceback names local paths) stops the run.  pytest does not
-collect this file; ``test_golden.py`` checks the ``fixtures``, ``random``
-and ``unknown-vertices`` groups.  Run it from the repository root:
+collect this file, which needs no pytest to run; ``test_golden.py``
+checks the ``fixtures``, ``random`` and ``unknown-vertices`` groups.
+Run it from the repository root:
 
     PYTHONPATH=src python tests/golden.py          # check, PYTHONHASHSEED 0, 1, 2
     PYTHONPATH=src python tests/golden.py --write  # regenerate golden.json
@@ -49,11 +51,11 @@ sys.path.insert(0, str(PERFBENCH))
 
 import families  # noqa: E402
 from fixtures import fixture_graphs  # noqa: E402
+from malformed import malformed_argvs  # noqa: E402
 from prim_lattice import cli, jsonio, lattice  # noqa: E402
 from prim_lattice.graph import entrance_free_cycles  # noqa: E402
 from prim_lattice.oracle import random_graph  # noqa: E402
 from prim_lattice.tails import enumerate_maximal_tails  # noqa: E402
-from test_bad_input import malformed_argvs  # noqa: E402
 
 HASH_SEEDS = ("0", "1", "2")
 MALFORMED_SEEDS = (12, 13, 14)
@@ -98,7 +100,7 @@ def _graph_cases(graphs):
 
 
 def _malformed_cases(seed: int):
-    """The cases of ``test_bad_input.test_malformed_input_sweep`` at ``seed``."""
+    """The malformed command lines at ``seed``, as ``test_bad_input`` sweeps them."""
     for i, argv in enumerate(malformed_argvs(seed)):
         yield argv[0], str(i), argv
 

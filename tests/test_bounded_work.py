@@ -5,7 +5,8 @@ argument reaches.  The graph's tables are swapped for read-only views
 that log each key looked up and refuse to be copied or walked, so a
 kernel that scans the whole graph fails, and one that reads the large
 part shows up in the log.  The walks, Tarjan and the tail check read
-those tables, never the per-step accessors.
+those tables, never the per-step accessors.  ``hull`` builds the tails
+of the strata it returns and no other.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ from prim_lattice import (
     entrance_free_cycles,
     enumerate_saturated_hereditary,
     enumerate_maximal_tails,
+    gauge_ideal,
     hereditary_closure,
+    hull,
     ideal_pair,
     is_saturated_hereditary,
     pair_join,
@@ -34,7 +37,7 @@ from prim_lattice import (
     saturated_hereditary_lattice,
     validate,
 )
-from prim_lattice import oracle
+from prim_lattice import lattice, oracle, tails
 from prim_lattice.tails import cycle_index, cycles_outside
 from fixtures import antichain, cascade, fixture_graphs
 
@@ -249,3 +252,44 @@ class TestWalksReadTheTables:
         starts = [(v,) for v in graph.vertices] + [graph.vertices[::2], graph.vertices]
         for walk in (reachable_ranges, hereditary_closure, saturated_hereditary_closure):
             assert [walk(bare, s) for s in starts] == [walk(graph, s) for s in starts]
+
+
+class TestHullBuildsOnlyItsStrata:
+    """``hull`` builds one tail per stratum it returns: a tail that meets the
+    ideal's vertex set is dropped by its generator before it is built."""
+
+    CHAIN = [f"v{i:02d}" for i in range(32)]
+
+    @pytest.mark.parametrize("kept", [32, 16, 0], ids=["zero", "lower-half", "everything"])
+    def test_one_build_per_stratum_on_a_chain(self, monkeypatch, kept):
+        g = validate(DirectedGraph(self.CHAIN, _chain_edges(self.CHAIN)))
+        inside = self.CHAIN[: len(self.CHAIN) - kept]
+        built = []
+
+        def counted(graph, index, position):
+            built.append(position)
+            return tails._tail_at(graph, index, position)
+
+        pair = gauge_ideal(g, inside)
+        monkeypatch.setattr(lattice, "_tail_at", counted)
+        entries = hull(g, pair).entries
+        assert len(built) == len(entries) == kept
+        # the tail at v_i is v_i onwards, and the hull lists them by size
+        assert [sorted(e.tail.vertices) for e in entries] == [
+            self.CHAIN[-k:] for k in range(1, kept + 1)
+        ]
+
+    def test_the_strata_are_the_tails_that_miss_the_ideal(self):
+        rng = random.Random(25)
+        for _ in range(40):
+            g = oracle.random_graph(rng, rng.randint(1, oracle.SUBSET_LIMIT), 24)
+            index = cycle_index(g)
+            everything = enumerate_maximal_tails(g)
+            for _ in range(4):
+                starts = rng.sample(g.vertices, rng.randint(0, min(3, len(g.vertices))))
+                inside = saturated_hereditary_closure(g, starts)
+                pair = oracle.random_ideal_pair(rng, g, [inside])
+                strata = [entry.tail for entry in hull(g, pair).entries]
+                kept = [t for t in everything if index.vertex[index.generator(t)] not in inside]
+                assert strata == kept
+                assert strata == [t for t in everything if t.vertices.isdisjoint(inside)]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import sys
@@ -404,6 +405,25 @@ class TestMeetByComplements:
                     closed_meet = x.complement().intersect(y.complement())
                     _assert_canonical(closed_meet)
                     assert closed_meet == _pairwise_union(x, y).complement()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_pass_over_many_operands_is_the_pairwise_fold(self, seed):
+        # families of one to four sets, full and empty ones among them: one
+        # variadic call gives the very pieces that meeting two at a time gives
+        rng = random.Random(f"variadic meets:{seed}")
+        extremes = [OpenCircleSet.full(), OpenCircleSet.empty()]
+        for _ in range(100):
+            family = [
+                rng.choice(extremes) if rng.randrange(8) == 0 else _query_set(rng, QUERY_DENOMINATORS)
+                for _ in range(rng.randint(1, 4))
+            ]
+            met = family[0].intersect(*family[1:])
+            folded = functools.reduce(OpenCircleSet.intersect, family)
+            assert (met._pieces, met.is_full) == (folded._pieces, folded.is_full)
+            assert met == functools.reduce(_pairwise_intersect, family)
+            # closed sets meet two at a time, through the same routine
+            closed = functools.reduce(ClosedCircleSet.intersect, [v.complement() for v in family])
+            assert closed == circle.open_union(family).complement()
 
 
 class TestKernelWork:
