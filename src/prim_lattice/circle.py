@@ -17,15 +17,19 @@ sorted and disjoint, on ``[0, 2)``.  Closed sets keep the same order
 over their arcs and points taken together.  Union is one merge pass that
 relies on this order, complement one pass over the gaps, and intersection
 the gaps of the union of gaps.  Each builds its result directly; only
-outside input goes through the checks in the constructors.
+outside input goes through the checks in the constructors.  Open and
+closed sets differ only in whether touching pieces merge and in the kind
+of their complement, so each operation has one body for both.
 
 Endpoints are exact rationals that the merge passes compare as plain
 integers, each by its own numerator and denominator: ``a/b < c/d`` is
 ``a*d < c*b``, and one turn up is ``(a + b)/b``.  Sets keep these
 integers beside their ``Fraction`` fields.  A result's endpoints are its
-arguments', some shifted by a turn, so no ``gcd`` is taken.  There is no
-common denominator per set: the lcm of n unrelated denominators can have
-n times their digits, where a cross product has the digits of two.
+arguments', some shifted by a turn: the integers are shifted by hand, but
+``_gaps`` and ``_coalesce`` still shift the ``Fraction`` field by
+``Fraction`` arithmetic, which takes a ``gcd`` (ROADMAP item 10).  There
+is no common denominator per set: the lcm of n unrelated denominators can
+have n times their digits, where a cross product has the digits of two.
 """
 
 from __future__ import annotations
@@ -40,8 +44,8 @@ from .record import Record, set_field
 
 Angle = Fraction
 
-# what ``Fraction`` raises for a bad or overlong literal, ``"1/0"`` and infinity
-_NOT_RATIONAL = (ValueError, ZeroDivisionError, OverflowError)
+# what ``Fraction`` raises for a bad or overlong literal, ``"1/0"``, infinity or no number
+_NOT_RATIONAL = (ValueError, ZeroDivisionError, OverflowError, TypeError)
 
 # the one string form of an angle, ``-1/2`` or ``3``: ``Fraction`` alone also reads
 # decimals, spaces, signs and exponents, and expands ``1e30000000`` digit by digit;
@@ -82,13 +86,24 @@ def _is_point(piece) -> bool:
     return piece[2] == piece[4] and piece[3] == piece[5]
 
 
+def _listed(values, what: str):
+    """``values``, refused if no iterable, or one string or bytes read item by item."""
+    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+        raise GraphAlgebraError(f"{what}: {excerpt(repr(values))}")
+    return values
+
+
 def _normalise(raw, points, joins) -> tuple[list, bool]:
     """Canonical ``(pieces, is_full)`` of outside arcs and points.  ``joins``
     is ``<`` for open arcs, which merge when they overlap, and ``<=`` for
     closed ones, which merge when they touch."""
     kind = "open" if joins is lt else "closed"
     segments = []
-    for a, b in raw:
+    for arc in _listed(raw, f"{kind} arcs must list (start, end) pairs"):
+        try:
+            a, b = () if isinstance(arc, (str, bytes)) else arc  # no string, even "12", is an arc
+        except (TypeError, ValueError):
+            raise GraphAlgebraError(f"{kind} arc {excerpt(repr(arc))} must have two endpoints")
         if isinstance(a, (float, bool)) or isinstance(b, (float, bool)):
             raise GraphAlgebraError(f"{kind} arc {excerpt(repr((a, b)))} has an inexact endpoint")
         try:
@@ -104,6 +119,7 @@ def _normalise(raw, points, joins) -> tuple[list, bool]:
             return [], True
         start = a % 1
         segments.append(_entry(start, start + length))
+    points = _listed(points, "closed set points must list angles")
     segments += [_entry(p, p) for p in map(as_angle, points)]
     return _coalesce(_in_order([[p] for p in segments]), joins)
 
@@ -218,12 +234,15 @@ class OpenCircleSet(Record):
 
     __slots__ = ("arcs", "is_full", "_pieces")
 
-    def __init__(self, arcs: tuple = (), is_full: bool = False):
-        self.__post_init__(arcs, is_full)
+    # the two facts in which the kinds differ: open pieces merge when they overlap,
+    # and the complement (set below the classes) is closed
+    _joins = lt
 
-    def __post_init__(self, arcs, is_full):
-        # canonical form is computed here rather than in __init__ so that
-        # perfbench/spans.py can time construction by wrapping this method
+    def __init__(self, *args, **kwargs):
+        # canonical form is computed in __post_init__, where perfbench/spans.py times it
+        self.__post_init__(*args, **kwargs)
+
+    def __post_init__(self, arcs: tuple = (), is_full: bool = False):
         self._fill(*(([], True) if is_full else _normalise(arcs, (), lt)))
 
     def _fill(self, pieces, is_full: bool) -> None:
@@ -233,48 +252,71 @@ class OpenCircleSet(Record):
         set_field(self, "_pieces", tuple(pieces))
 
     @classmethod
-    def empty(cls) -> "OpenCircleSet":
+    def empty(cls):
         return cls()
 
     @classmethod
-    def full(cls) -> "OpenCircleSet":
+    def full(cls):
         return cls(is_full=True)
 
     @classmethod
     def from_arcs(cls, pairs: Iterable) -> "OpenCircleSet":
-        return cls(tuple((a, b) for a, b in pairs))
+        return cls(pairs)
 
     def is_empty(self) -> bool:
-        return not self.is_full and not self.arcs
+        return not self.is_full and not self._pieces
 
     def is_proper(self) -> bool:
         return not self.is_full
 
     def contains(self, angle) -> bool:
-        return self.is_full or _holds(self._pieces, *as_angle(angle).as_integer_ratio(), lt)
+        return self.contains_point(*as_angle(angle).as_integer_ratio())
 
     def contains_point(self, n: int, d: int) -> bool:
         """Whether the set holds the angle ``n/d``, given reduced and in ``[0, 1)``."""
-        return self.is_full or _holds(self._pieces, n, d, lt)
+        return self.is_full or _holds(self._pieces, n, d, self._joins)
 
-    def union(self, other: "OpenCircleSet") -> "OpenCircleSet":
-        return open_union((self, other))
+    def union(self, *others):
+        """The union with sets of the same kind: one merge pass, none for a full
+        member, which is the answer, or for a set alone, its own union."""
+        sets = (self, *others)
+        for value in sets:
+            if value.is_full:
+                return value
+        if not others:
+            return self
+        return _trusted(type(self), *_coalesce(_in_order([v._pieces for v in sets]), self._joins))
 
-    def intersect(self, *others: "OpenCircleSet") -> "OpenCircleSet":
-        return _meet(OpenCircleSet, (self, *others), le)
+    def intersect(self, *others):
+        """The intersection with sets of the same kind: the gaps of the union, in one
+        merge pass, of every proper member's gaps, merged as the complement's pieces.
+        An empty member is the answer, full ones drop out, and one proper is its own."""
+        proper = []
+        for value in (self, *others):
+            if value.is_empty():
+                return value
+            if not value.is_full:
+                proper.append(value)
+        if len(proper) < 2:
+            return proper[0] if proper else self
+        gaps = _in_order([_gaps(v._pieces) for v in proper])
+        pieces, is_full = _coalesce(gaps, self._complement_kind._joins)
+        return _trusted(type(self), [] if is_full else _gaps(pieces))
 
-    def is_subset(self, other: "OpenCircleSet") -> bool:
+    def is_subset(self, other) -> bool:
         if self.is_full or other.is_full:
             return other.is_full
         return _within(self._pieces, _lifts(other._pieces))
 
-    def complement(self) -> "ClosedCircleSet":
+    def complement(self):
+        """The gaps, as the other kind: a point where open arcs touch, and arcs
+        between closed pieces, a whole turn but its point for a lone point."""
+        kind = self._complement_kind
         if self.is_full:
-            return ClosedCircleSet.empty()
+            return kind.empty()
         if not self._pieces:
-            return ClosedCircleSet.full()
-        # a gap between arcs that touch is the point they share
-        return _trusted(ClosedCircleSet, _gaps(self._pieces))
+            return kind.full()
+        return _trusted(kind, _gaps(self._pieces))
 
     def closure(self) -> "ClosedCircleSet":
         if self.is_full:
@@ -290,11 +332,11 @@ class ClosedCircleSet(Record):
 
     __slots__ = ("arcs", "points", "is_full", "_pieces")
 
-    def __init__(self, arcs: tuple = (), points: tuple = (), is_full: bool = False):
-        self.__post_init__(arcs, points, is_full)
+    # closed pieces merge when they touch, and the complement is open
+    _joins = le
+    _complement_kind = OpenCircleSet
 
-    def __post_init__(self, arcs, points, is_full):
-        # see OpenCircleSet.__post_init__
+    def __post_init__(self, arcs: tuple = (), points: tuple = (), is_full: bool = False):
         self._fill(*(([], True) if is_full else _normalise(arcs, points, le)))
 
     def _fill(self, pieces, is_full: bool) -> None:
@@ -304,79 +346,33 @@ class ClosedCircleSet(Record):
         set_field(self, "is_full", is_full)
         set_field(self, "_pieces", tuple(pieces))
 
-    @classmethod
-    def empty(cls) -> "ClosedCircleSet":
-        return cls()
-
-    @classmethod
-    def full(cls) -> "ClosedCircleSet":
-        return cls(is_full=True)
-
-    def is_empty(self) -> bool:
-        return not self.is_full and not self.arcs and not self.points
-
-    def contains(self, angle) -> bool:
-        return self.is_full or _holds(self._pieces, *as_angle(angle).as_integer_ratio(), le)
-
-    def complement(self) -> OpenCircleSet:
-        if self.is_full:
-            return OpenCircleSet.empty()
-        if not self._pieces:
-            return OpenCircleSet.full()
-        # closed pieces never touch, so every gap is an arc: a lone point's
-        # gap runs a whole turn, which is the circle minus that point
-        return _trusted(OpenCircleSet, _gaps(self._pieces))
+    # one body per operation: the open sets', bound by name into this class's own
+    # namespace, where perfbench/spans.py wraps each method
+    empty, full = vars(OpenCircleSet)["empty"], vars(OpenCircleSet)["full"]
+    __init__, is_empty = OpenCircleSet.__init__, OpenCircleSet.is_empty
+    contains, contains_point = OpenCircleSet.contains, OpenCircleSet.contains_point
+    complement, is_subset = OpenCircleSet.complement, OpenCircleSet.is_subset
+    union, intersect = OpenCircleSet.union, OpenCircleSet.intersect
 
     def interior(self) -> OpenCircleSet:
         if self.is_full:
             return OpenCircleSet.full()
         return _trusted(OpenCircleSet, [p for p in self._pieces if not _is_point(p)])
 
-    def union(self, other: "ClosedCircleSet") -> "ClosedCircleSet":
-        if self.is_full or other.is_full:
-            return ClosedCircleSet.full()
-        return _trusted(ClosedCircleSet, *_coalesce(_in_order([self._pieces, other._pieces]), le))
 
-    def intersect(self, other: "ClosedCircleSet") -> "ClosedCircleSet":
-        return _meet(ClosedCircleSet, (self, other), lt)
-
-    # the same test as for open sets: both read the stored pieces
-    is_subset = OpenCircleSet.is_subset
+OpenCircleSet._complement_kind = ClosedCircleSet
 
 
 def open_union(sets: Iterable[OpenCircleSet]) -> OpenCircleSet:
-    """The union of finitely many open sets, the empty set for none: one merge
-    pass, and none for one set, which is its own union."""
-    members = []
-    for value in sets:
-        if value.is_full:
-            return OpenCircleSet.full()
-        members.append(value)
-    if len(members) == 1:
-        return members[0]
-    return _trusted(OpenCircleSet, *_coalesce(_in_order([v._pieces for v in members]), lt))
-
-
-def _meet(cls, sets, joins):
-    """The intersection of one or more sets of class ``cls``: the gaps of the
-    union, in one merge pass, of every proper member's gaps, which ``joins``
-    merges (``<=`` for the closed gaps of open sets).  An empty member is the
-    answer at once, full members drop out, and one proper member is its own."""
-    proper = []
-    for value in sets:
-        if value.is_empty():
-            return value
-        if not value.is_full:
-            proper.append(value)
-    if len(proper) < 2:
-        return proper[0] if proper else sets[0]
-    pieces, is_full = _coalesce(_in_order([_gaps(v._pieces) for v in proper]), joins)
-    return _trusted(cls, [] if is_full else _gaps(pieces))
+    """The union of finitely many open sets, the empty set for none, through
+    ``OpenCircleSet.union``, which a traced run times."""
+    members = tuple(sets)
+    return OpenCircleSet.union(*members) if members else OpenCircleSet.empty()
 
 
 def finite_closed_set(angles: Iterable) -> ClosedCircleSet:
     """The closed set consisting of finitely many points."""
-    return ClosedCircleSet((), tuple(as_angle(a) for a in angles))
+    return ClosedCircleSet((), angles)
 
 
 def punctured_circle(angle) -> OpenCircleSet:

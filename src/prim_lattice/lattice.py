@@ -14,7 +14,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 from .circle import (
-    ClosedCircleSet, OpenCircleSet, as_angle, finite_closed_set, open_union, punctured_circle,
+    ClosedCircleSet, OpenCircleSet, _entry, _trusted, as_angle, open_union, punctured_circle,
 )
 from .errors import (
     GraphAlgebraError, InternalInvariantViolation, MalformedHullError, NotAMaximalTailError,
@@ -40,6 +40,10 @@ from .tails import (
     enumerate_maximal_tails,
     tail_sort_key,
 )
+
+# the allowed set of every aperiodic stratum, angle zero alone: built once, trusted
+_ZERO_ONLY = _trusted(ClosedCircleSet, [_entry(Fraction(0), Fraction(0))])
+
 
 class PrimitiveIdeal(Record):
     """A primitive ideal: a maximal tail plus a point of the circle.
@@ -339,7 +343,7 @@ def hull(graph: DirectedGraph, pair: IdealPair) -> Hull:
     entries = []
     for tail in sorted((_tail_at(graph, index, i) for i in kept), key=tail_sort_key):
         if not tail.is_cyclic:
-            allowed = finite_closed_set([Fraction(0)])
+            allowed = _ZERO_ONLY
         elif tail.cycle in sets:
             allowed = sets[tail.cycle].complement()
         else:

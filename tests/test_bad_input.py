@@ -203,6 +203,66 @@ class TestMalformedArcs:
         assert err.startswith("error: open arc ['0', '0', ") and err.endswith(" must have two endpoints\n")
 
 
+class TestMalformedCircleInput:
+    """The library's circle constructors and ``as_angle`` answer malformed input
+    with one error line, as the JSON decoders do, never with Python's own error
+    or a set read from a string's characters."""
+
+    REJECTED = {
+        "points as one string": (
+            lambda: ClosedCircleSet((), "12"), "closed set points must list angles: '12'"
+        ),
+        "finite points as one string": (
+            lambda: finite_closed_set("12"), "closed set points must list angles: '12'"
+        ),
+        "points as no list": (lambda: finite_closed_set(3), "closed set points must list angles: 3"),
+        "open arcs as one string": (
+            lambda: OpenCircleSet("ab"), "open arcs must list (start, end) pairs: 'ab'"
+        ),
+        "closed arcs as one string": (
+            lambda: ClosedCircleSet(arcs="ab"), "closed arcs must list (start, end) pairs: 'ab'"
+        ),
+        "open arcs as no list": (lambda: OpenCircleSet(5), "open arcs must list (start, end) pairs: 5"),
+        "an arc of three endpoints": (
+            lambda: OpenCircleSet.from_arcs([(0, "1/2", 5)]),
+            "open arc (0, '1/2', 5) must have two endpoints",
+        ),
+        "an arc as a two-character string": (
+            lambda: ClosedCircleSet(["12"]), "closed arc '12' must have two endpoints"
+        ),
+        "an arc as two bytes": (lambda: OpenCircleSet([b"12"]), "open arc b'12' must have two endpoints"),
+        "points as bytes": (
+            lambda: finite_closed_set(b"\x00\x01"), "closed set points must list angles: b'\\x00\\x01'"
+        ),
+        "an arc as a number": (lambda: OpenCircleSet([5]), "open arc 5 must have two endpoints"),
+        "an endpoint as None": (
+            lambda: OpenCircleSet([(None, 1)]),
+            "open arc (None, 1) has an endpoint that is not a finite rational",
+        ),
+        "an angle as None": (lambda: as_angle(None), "angle None is not a finite rational"),
+        "an angle as a list": (lambda: as_angle([1]), "angle [1] is not a finite rational"),
+        "a point as None": (
+            lambda: ClosedCircleSet(points=[None]), "angle None is not a finite rational"
+        ),
+    }
+
+    @pytest.mark.parametrize("call, message", REJECTED.values(), ids=REJECTED.keys())
+    def test_one_error_line(self, call, message):
+        with pytest.raises(GraphAlgebraError) as caught:
+            call()
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("kind", [OpenCircleSet, ClosedCircleSet])
+    @pytest.mark.parametrize("angle", [0.5, True, "x", None, "1/0"])
+    def test_a_full_set_reads_the_angle_it_is_asked_about(self, kind, angle):
+        # the full set holds every angle, but what is no angle is refused
+        # as a proper set refuses it
+        for value in (kind.full(), kind.empty()):
+            with pytest.raises(GraphAlgebraError):
+                value.contains(angle)
+        assert kind.full().contains("1/2") and not kind.empty().contains("1/2")
+
+
 class TestGaugeIdealReadsTheIndex:
     def test_lattice_no_longer_scans(self):
         assert not hasattr(lattice, "entrance_free_cycles")

@@ -421,9 +421,61 @@ class TestMeetByComplements:
             folded = functools.reduce(OpenCircleSet.intersect, family)
             assert (met._pieces, met.is_full) == (folded._pieces, folded.is_full)
             assert met == functools.reduce(_pairwise_intersect, family)
-            # closed sets meet two at a time, through the same routine
+            # closed sets meet through the same body
             closed = functools.reduce(ClosedCircleSet.intersect, [v.complement() for v in family])
             assert closed == circle.open_union(family).complement()
+
+
+def _probes(*sets):
+    """Every endpoint and point of the sets, mod 1, and the midpoint of each
+    gap between two of them: canonical sets agree everywhere iff they agree here."""
+    ends = sorted({e % 1 for s in sets for arc in s.arcs for e in arc} | {p for s in sets for p in s.points})
+    if not ends:
+        return [F(0)]
+    return ends + [(x + y) / 2 for x, y in zip(ends, ends[1:] + [ends[0] + 1])]
+
+
+def _closed_member(rng, base):
+    """A closed set from the open ``base``, so members touch one another and wrap."""
+    shape = rng.randrange(8)
+    if shape == 0:
+        return rng.choice([ClosedCircleSet.full(), ClosedCircleSet.empty()])
+    if shape == 1:
+        return finite_closed_set(base.endpoints())
+    if shape in (2, 3):
+        # the closure and the complement of one set meet at its endpoints
+        return base.closure()
+    if shape in (4, 5):
+        return base.complement()
+    return _query_set(rng, QUERY_DENOMINATORS).complement()
+
+
+class TestOneBodyForBothKinds:
+    """Open and closed sets run the same function for each shared operation."""
+
+    SHARED = ["__init__", "empty", "full", "is_empty", "contains", "contains_point",
+              "complement", "union", "intersect", "is_subset"]
+
+    @pytest.mark.parametrize("name", SHARED)
+    def test_bound_in_each_namespace(self, name):
+        # each class's own namespace, where perfbench/spans.py finds the method
+        assert vars(OpenCircleSet)[name] is vars(ClosedCircleSet)[name]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_closed_variadic_calls_are_the_pairwise_fold(self, seed):
+        rng = random.Random(f"closed families:{seed}")
+        for _ in range(100):
+            base = _query_set(rng, QUERY_DENOMINATORS)
+            family = [_closed_member(rng, base) for _ in range(rng.randint(1, 4))]
+            for operation in (ClosedCircleSet.intersect, ClosedCircleSet.union):
+                once = operation(*family)
+                folded = functools.reduce(operation, family)
+                assert (once._pieces, once.is_full) == (folded._pieces, folded.is_full)
+                _assert_canonical(once)
+            met, joined = family[0].intersect(*family[1:]), family[0].union(*family[1:])
+            for theta in _probes(*family):
+                held = [s.contains(theta) for s in family]
+                assert met.contains(theta) == all(held) and joined.contains(theta) == any(held)
 
 
 class TestKernelWork:

@@ -73,6 +73,8 @@ def tracer():
     [
         (["hull", "-g", G_LOOP, "-p", PAIR], {"jsonio.pair_from_json": 1}, "lattice.hull"),
         (["meet", "-g", G_LOOP, "-P", f"[{PAIR},{PAIR}]"], {"jsonio.pair_from_json": 2}, "lattice.pair_meet"),
+        # a join pools each cycle's sets through the union method, which is traced
+        (["join", "-g", G_LOOP, "-P", f"[{PAIR},{PAIR}]"], {"jsonio.pair_from_json": 2}, "circle.OpenCircleSet.union"),
         (
             ["closure", "-g", G_LOOP, "-X", f"[{PRIM}]", "-t", PRIM],
             {"jsonio.prim_from_json": 2},
@@ -84,7 +86,7 @@ def tracer():
         (["tails", "-g", G_LOOP], {}, "tails.is_maximal_tail"),
         (["prims", "-g", G_LOOP], {}, "tails.is_maximal_tail"),
     ],
-    ids=["hull", "meet", "closure", "from-hull", "sat-hered", "gauge-lattice", "tails", "prims"],
+    ids=["hull", "meet", "join", "closure", "from-hull", "sat-hered", "gauge-lattice", "tails", "prims"],
 )
 def test_tracer_sees_each_layer_of_a_command(tracer, capsys, argv, reads, operation):
     tracer.begin(0)

@@ -92,6 +92,22 @@ def test_built_results_pass_boundary_validation():
     assert checked > 500
 
 
+def test_hull_strata_are_what_the_closed_set_check_builds():
+    # hull builds every stratum's set directly, the {0} shared by all
+    # aperiodic strata included: each must equal, integers beside the
+    # fields too, the set the checking constructor builds from its fields
+    rng, graphs = _graphs(seed=2025)
+    aperiodic = 0
+    for graph in graphs:
+        for _ in range(4):
+            for entry in hull(graph, random_ideal_pair(rng, graph)).entries:
+                allowed = entry.allowed
+                checked = ClosedCircleSet(allowed.arcs, allowed.points, allowed.is_full)
+                assert checked == allowed and checked._pieces == allowed._pieces
+                aperiodic += not entry.tail.is_cyclic
+    assert aperiodic > 40
+
+
 UNKNOWN = {"v", "nowhere"}
 
 
