@@ -574,6 +574,82 @@ class TestHull:
                         assert inside == closure_contains(g, prims, PrimitiveIdeal(tail, angle))
 
 
+class TestHullToPairOnHandBuiltHulls:
+    """A ``Hull`` built in code reaches ``hull_to_pair`` without the JSON
+    decoder's checks.  Each bad stratum is a ``MalformedHullError`` with the
+    same line as ever, never an exception that the CLI reports as a bug."""
+
+    @staticmethod
+    def _refused(graph, *entries) -> str:
+        with pytest.raises(MalformedHullError) as caught:
+            hull_to_pair(graph, Hull(entries))
+        assert type(caught.value) is MalformedHullError
+        return str(caught.value)
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [{"u"}, set(), {"u", "v", "w"}, {"w"}, {"v", "w"}, {1}],
+        ids=["no-tail", "empty", "tail-and-unknown", "unknown", "unknown-beside", "not-a-string"],
+    )
+    def test_a_set_that_is_no_tail_of_the_graph(self, vertices):
+        fake = MaximalTail(frozenset(vertices), None, 0)
+        message = self._refused(g_flow, HullEntry(fake, ClosedCircleSet.full()))
+        assert message == f"{sorted(vertices)} is not a maximal tail of the graph"
+
+    @pytest.mark.parametrize(
+        "vertices, cycle, period",
+        [
+            ({"v"}, None, 0),
+            ({"v"}, B, 2),
+            ({"u", "v"}, B, 1),
+            ({"u", "v"}, None, 0),
+            ({"v"}, A, 1),
+        ],
+        ids=["aperiodic", "wrong-period", "wrong-cycle", "big-aperiodic", "foreign-cycle"],
+    )
+    def test_a_tail_with_the_wrong_cycle_or_period(self, vertices, cycle, period):
+        wrong = MaximalTail(frozenset(vertices), cycle, period)
+        message = self._refused(g_flow, HullEntry(wrong, ClosedCircleSet.full()))
+        assert message == f"{sorted(vertices)} is not a maximal tail of the graph"
+
+    def test_a_bad_stratum_after_good_ones(self):
+        fake = MaximalTail(frozenset({"u"}), A, 1)
+        full = ClosedCircleSet.full()
+        message = self._refused(g_flow, HullEntry(FLOW_SMALL, full), HullEntry(fake, full))
+        assert message == "['u'] is not a maximal tail of the graph"
+
+    def test_a_duplicate_stratum(self):
+        first = HullEntry(FLOW_BIG, ClosedCircleSet.full())
+        message = self._refused(g_flow, first, HullEntry(FLOW_BIG, finite_closed_set([0])))
+        assert message == "duplicate stratum for tail ['u', 'v']"
+        # a second entry on the same vertices but with the wrong cycle is named as
+        # no tail: each entry is checked for validity before duplication
+        twin = HullEntry(MaximalTail(frozenset({"u", "v"}), None, 0), ClosedCircleSet.full())
+        message = self._refused(g_flow, first, twin)
+        assert message == "['u', 'v'] is not a maximal tail of the graph"
+        # entries are checked in order
+        fake = MaximalTail(frozenset({"u"}), None, 0)
+        message = self._refused(g_flow, first, first, HullEntry(fake, ClosedCircleSet.full()))
+        assert message == "duplicate stratum for tail ['u', 'v']"
+        message = self._refused(g_flow, first, HullEntry(fake, ClosedCircleSet.full()), first)
+        assert message == "['u'] is not a maximal tail of the graph"
+
+    def test_the_empty_shape_is_the_improper_ideal(self):
+        for graph in fixture_graphs().values():
+            assert hull_to_pair(graph, Hull(())) == improper_ideal(graph)
+
+    def test_a_tail_from_an_equal_but_distinct_graph(self):
+        twin = DirectedGraph(list(g_flow.vertices), dict(g_flow.edges))
+        assert twin == g_flow and twin is not g_flow
+        small, big = classify_tail(twin, {"v"}), classify_tail(twin, ["u", "v"])
+        shape = Hull((HullEntry(small, ClosedCircleSet.full()),))
+        assert hull_to_pair(g_flow, shape) == gauge_ideal(g_flow, {"u"})
+        shape = Hull(
+            (HullEntry(small, ClosedCircleSet.full()), HullEntry(big, finite_closed_set([0])))
+        )
+        assert hull_to_pair(g_flow, shape) == ideal_pair(g_flow, set(), {A: punctured_circle(0)})
+
+
 @pytest.fixture(scope="module")
 def law_triples():
     """Seeded triples of ideal pairs on random graphs of up to 10 vertices.
