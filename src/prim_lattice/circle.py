@@ -253,11 +253,11 @@ class OpenCircleSet(Record):
 
     @classmethod
     def empty(cls):
-        return cls()
+        return _trusted(cls, [])
 
     @classmethod
     def full(cls):
-        return cls(is_full=True)
+        return _trusted(cls, [], True)
 
     @classmethod
     def from_arcs(cls, pairs: Iterable) -> "OpenCircleSet":

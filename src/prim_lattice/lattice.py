@@ -37,7 +37,6 @@ from .tails import (
     classify_tail,
     cycle_index,
     cycles_outside,
-    enumerate_maximal_tails,
     tail_sort_key,
 )
 
@@ -356,22 +355,25 @@ def hull(graph: DirectedGraph, pair: IdealPair) -> Hull:
 def hull_to_pair(graph: DirectedGraph, shape: Hull) -> IdealPair:
     """Rebuild the ideal pair whose hull is ``shape``.
 
-    The vertex part is the complement of the union of the entry tails.
-    Each entrance-free cycle of that union gets the complement of the
-    allowed set of its stratum.  That stratum is the entry whose own
-    cycle it is: the cycle lies in some entry tail, which is forward
-    closed, and is entrance-free there too, and a maximal tail has only
-    one such cycle.
+    Each entry's tail must be the one :func:`.tails.classify_tail` builds at
+    its generator, so only the given strata are built.  The vertex part is
+    the complement of their union.  Each entrance-free cycle of that union
+    gets the complement of the allowed set of its stratum, the entry whose
+    own cycle it is: the cycle lies in some entry tail, which is forward
+    closed, and is entrance-free there too, and a tail has only one such.
     """
-    tails = {tail.vertices: tail for tail in enumerate_maximal_tails(graph)}
     strata = {}
     for entry in shape.entries:
         vertices = entry.tail.vertices
-        if tails.get(vertices) != entry.tail:
+        try:
+            tail = classify_tail(graph, vertices)
+        except GraphAlgebraError:  # no tail, or an unknown or non-string vertex
+            tail = None
+        if tail != entry.tail:
             raise MalformedHullError(f"{sorted(vertices)} is not a maximal tail of the graph")
-        if vertices in strata:
+        if tail.vertices in strata:
             raise MalformedHullError(f"duplicate stratum for tail {sorted(vertices)}")
-        strata[vertices] = entry
+        strata[tail.vertices] = entry
     uncovered = frozenset(graph.vertices).difference(*strata)
     # aperiodic strata sit under the key None, which no cycle equals
     own = {entry.tail.cycle: entry for entry in strata.values()}

@@ -87,7 +87,7 @@ def classify_tail(graph: DirectedGraph, subset) -> MaximalTail:
     tail = _vertex_subset(graph, subset)
     index = cycle_index(graph)
     home = max(map(index.home.__getitem__, tail), default=None)
-    if home in index.generators:
+    if home in index.generating:
         built = _tail_at(graph, index, home)
         if built.vertices == tail:
             return built
@@ -157,14 +157,18 @@ class CycleIndex:
     cycle, with one of its vertices.  ``entered`` maps each entry to the
     positions in ``cycles`` of the components it enters, in order, and
     ``unentered`` lists those of the components with no entries.
-    :func:`build_cycle_index` derives them all, and passes them in this order.
+    :func:`build_cycle_index` derives them all, and passes them in this order;
+    the constructor adds ``generating``, the generators as a set, for an O(1) test.
     """
 
-    __slots__ = ("generators", "home", "vertex", "cycle_at", "cycles", "entered", "unentered")
+    __slots__ = (
+        "generators", "home", "vertex", "cycle_at", "cycles", "entered", "unentered", "generating"
+    )
 
     def __init__(self, *fields):
         for name, value in zip(self.__slots__, fields):
             setattr(self, name, value)
+        self.generating = frozenset(self.generators)
 
     def generator(self, tail: MaximalTail) -> int:
         """The position of the component that generates ``tail``: the one it keeps,

@@ -6,7 +6,8 @@ that log each key looked up and refuse to be copied or walked, so a
 kernel that scans the whole graph fails, and one that reads the large
 part shows up in the log.  The walks, Tarjan and the tail check read
 those tables, never the per-step accessors.  ``hull`` builds the tails
-of the strata it returns and no other.
+of the strata it returns and no other, and ``hull_to_pair`` those of the
+strata it is given.
 """
 
 from __future__ import annotations
@@ -18,8 +19,14 @@ from fractions import Fraction as F
 import pytest
 
 from prim_lattice import (
+    ClosedCircleSet,
     DanglingEndpointError,
     DirectedGraph,
+    Hull,
+    HullEntry,
+    IdealPair,
+    MalformedHullError,
+    MaximalTail,
     OpenCircleSet,
     SourceVertexError,
     entrance_free_cycles,
@@ -28,6 +35,7 @@ from prim_lattice import (
     gauge_ideal,
     hereditary_closure,
     hull,
+    hull_to_pair,
     ideal_pair,
     is_saturated_hereditary,
     pair_join,
@@ -293,3 +301,86 @@ class TestHullBuildsOnlyItsStrata:
                 kept = [t for t in everything if index.vertex[index.generator(t)] not in inside]
                 assert strata == kept
                 assert strata == [t for t in everything if t.vertices.isdisjoint(inside)]
+
+
+def _kernel_by_enumeration(graph, shape):
+    """``hull_to_pair`` as once written: every maximal tail enumerated, and
+    each entry matched to one by its vertex set."""
+    tails_by_vertices = {tail.vertices: tail for tail in enumerate_maximal_tails(graph)}
+    strata = {}
+    for entry in shape.entries:
+        vertices = entry.tail.vertices
+        if tails_by_vertices.get(vertices) != entry.tail:
+            raise MalformedHullError(f"{sorted(vertices)} is not a maximal tail of the graph")
+        if vertices in strata:
+            raise MalformedHullError(f"duplicate stratum for tail {sorted(vertices)}")
+        strata[vertices] = entry
+    uncovered = frozenset(graph.vertices).difference(*strata)
+    own = {entry.tail.cycle: entry for entry in strata.values()}
+    cycle_sets = []
+    for cycle in cycles_outside(graph, uncovered):
+        value = own[cycle].allowed.complement()
+        if value.is_full:
+            raise MalformedHullError(
+                f"stratum {sorted(own[cycle].tail.vertices)} allows no point of its cycle"
+            )
+        cycle_sets.append((cycle, value))
+    return IdealPair(uncovered, tuple(cycle_sets))
+
+
+def _outcome(kernel, graph, shape):
+    """The pair ``kernel`` rebuilds from ``shape``, or the line it refuses it with."""
+    try:
+        return kernel(graph, shape)
+    except MalformedHullError as err:
+        return str(err)
+
+
+class TestHullToPairBuildsOnlyItsStrata:
+    """``hull_to_pair`` builds one tail per entry it is given, by classifying
+    the entry's vertex set, and never enumerates the graph's tails."""
+
+    CHAIN = TestHullBuildsOnlyItsStrata.CHAIN
+
+    @pytest.mark.parametrize("kept", [32, 16, 0], ids=["zero", "lower-half", "everything"])
+    def test_one_build_per_entry_on_a_chain(self, monkeypatch, kept):
+        g = validate(DirectedGraph(self.CHAIN, _chain_edges(self.CHAIN)))
+        pair = gauge_ideal(g, self.CHAIN[: len(self.CHAIN) - kept])
+        shape = hull(g, pair)
+        built = []
+        build = tails._tail_at
+
+        def counted(graph, index, position):
+            built.append(position)
+            return build(graph, index, position)
+
+        def refused(graph):
+            raise AssertionError("enumerated every tail of the graph")
+
+        monkeypatch.setattr(tails, "_tail_at", counted)
+        for module in (tails, lattice):
+            monkeypatch.setattr(module, "enumerate_maximal_tails", refused, raising=False)
+        assert hull_to_pair(g, shape) == pair
+        assert len(built) == len(shape.entries) == kept
+
+    def test_the_kernel_is_the_one_read_off_every_tail(self):
+        rng = random.Random(27)
+        for _ in range(40):
+            g = oracle.random_graph(rng, rng.randint(1, oracle.SUBSET_LIMIT), 24)
+            everything = enumerate_maximal_tails(g)
+            for _ in range(4):
+                starts = rng.sample(g.vertices, rng.randint(0, min(3, len(g.vertices))))
+                inside = saturated_hereditary_closure(g, starts)
+                pair = oracle.random_ideal_pair(rng, g, [inside])
+                shape = hull(g, pair)
+                assert hull_to_pair(g, shape) == pair == _kernel_by_enumeration(g, shape)
+                # some strata dropped, and maybe a set that is no tail of the graph
+                kept = [e for e in shape.entries if rng.random() < 0.6]
+                if rng.random() < 0.3:
+                    vertices = frozenset(rng.sample(g.vertices, rng.randint(0, len(g.vertices))))
+                    if vertices not in {t.vertices for t in everything}:
+                        fake = MaximalTail(vertices, None, 0)
+                        at = rng.randint(0, len(kept))
+                        kept.insert(at, HullEntry(fake, ClosedCircleSet.full()))
+                sub = Hull(tuple(kept))
+                assert _outcome(hull_to_pair, g, sub) == _outcome(_kernel_by_enumeration, g, sub)

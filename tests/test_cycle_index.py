@@ -94,6 +94,7 @@ class TestAgainstTheScan:
                 if any(s in c and r in c for s, r in g.edges.values())
             ]
             assert cycle_index(g).generators == with_edge
+            assert cycle_index(g).generating == frozenset(with_edge)
 
 
 class TestBuiltOnce:

@@ -545,6 +545,18 @@ class TestHull:
         with pytest.raises(MalformedHullError):
             hull_to_pair(g_flow, doubled)
 
+    def test_hull_to_pair_keys_strata_by_the_classified_tail(self):
+        # a tail given with a mutable vertex set equals the graph's own, and is
+        # filed under the graph's frozen set rather than hashed as given
+        given = MaximalTail({"v"}, B, 1)
+        assert given == FLOW_SMALL
+        shape = Hull((HullEntry(given, ClosedCircleSet.full()),))
+        assert hull_to_pair(g_flow, shape) == gauge_ideal(g_flow, {"u"})
+        full = ClosedCircleSet.full()
+        doubled = Hull((HullEntry(given, full), HullEntry(FLOW_SMALL, full)))
+        with pytest.raises(MalformedHullError, match=r"^duplicate stratum for tail \['v'\]$"):
+            hull_to_pair(g_flow, doubled)
+
     def test_round_trip(self):
         rng, graphs = _corpus(seed=97)
         for g in graphs:
