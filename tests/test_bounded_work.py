@@ -7,7 +7,8 @@ kernel that scans the whole graph fails, and one that reads the large
 part shows up in the log.  The walks, Tarjan and the tail check read
 those tables, never the per-step accessors.  ``hull`` builds the tails
 of the strata it returns and no other, and ``hull_to_pair`` those of the
-strata it is given.
+strata it is given.  ``from-hull`` takes the kernel once, and the gauge
+lattice joins each set only with the least principal closures outside it.
 """
 
 from __future__ import annotations
@@ -44,8 +45,10 @@ from prim_lattice import (
     saturated_hereditary_closure,
     saturated_hereditary_lattice,
     validate,
+    zero_ideal,
 )
-from prim_lattice import lattice, oracle, tails
+from prim_lattice import cli, jsonio, lattice, oracle, tails
+from prim_lattice import graph as graph_module
 from prim_lattice.tails import cycle_index, cycles_outside
 from fixtures import antichain, cascade, fixture_graphs
 
@@ -384,3 +387,74 @@ class TestHullToPairBuildsOnlyItsStrata:
                         kept.insert(at, HullEntry(fake, ClosedCircleSet.full()))
                 sub = Hull(tuple(kept))
                 assert _outcome(hull_to_pair, g, sub) == _outcome(_kernel_by_enumeration, g, sub)
+
+
+class TestFromHullTakesItsKernelOnce:
+    """``from-hull`` prints the kernel its reader's closedness check computed,
+    so each given stratum's tail is built three times: once decoded, once in
+    the kernel and once in the kernel's hull, and not again for the answer."""
+
+    CHAIN = [f"v{i:02d}" for i in range(12)]
+
+    def test_three_builds_per_stratum_on_a_chain(self, monkeypatch, capsys):
+        g = validate(DirectedGraph(self.CHAIN, _chain_edges(self.CHAIN)))
+        zero = zero_ideal(g)
+        shape = hull(g, zero)
+        built = []
+        build = tails._tail_at
+
+        def counted(graph, index, position):
+            built.append(position)
+            return build(graph, index, position)
+
+        # ``lattice`` binds its own name for the builder
+        for module in (tails, lattice):
+            monkeypatch.setattr(module, "_tail_at", counted)
+        graph_json = jsonio.canonical_dumps(jsonio.graph_to_json(g))
+        hull_json = jsonio.canonical_dumps(jsonio.hull_to_json(shape))
+        assert cli.main(["from-hull", "-g", graph_json, "-H", hull_json]) == 0
+        assert capsys.readouterr().out == jsonio.canonical_dumps(jsonio.pair_to_json(zero)) + "\n"
+        # the kernel taken again for the answer made it 48
+        assert len(shape.entries) == 12 and len(built) == 36
+
+
+class TestGaugeLatticeJoinsMinimalPrincipals:
+    """The gauge lattice joins each set found only with the principal closures
+    that are minimal among those outside it, so a chain's lattice costs one
+    saturation per cover, not one per principal outside every set."""
+
+    @staticmethod
+    def _saturations(monkeypatch, g):
+        saturated = []
+        fixpoint = graph_module._saturation_fixpoint
+
+        def recorded(graph, start):
+            saturated.append(start)
+            return fixpoint(graph, start)
+
+        monkeypatch.setattr(graph_module, "_saturation_fixpoint", recorded)
+        lattice_of_g = saturated_hereditary_lattice(g)
+        monkeypatch.undo()
+        return len(saturated), lattice_of_g
+
+    def test_a_chain_saturates_once_per_cover(self, monkeypatch):
+        ids = [f"v{i:02d}" for i in range(32)]
+        g = validate(DirectedGraph(ids, _chain_edges(ids)))
+        count, (sets, covers) = self._saturations(monkeypatch, g)
+        # 1 + 32 principals + one join per set below the top; every
+        # principal outside every set made 561
+        assert count == 65
+        assert sets == [frozenset(ids[: len(ids) - k]) for k in range(32, -1, -1)]
+        assert covers == [(i, i + 1) for i in range(32)]
+
+    def test_an_antichain_joins_every_principal_outside(self, monkeypatch):
+        # every principal closure is minimal, so nothing is saved
+        count, (sets, covers) = self._saturations(monkeypatch, antichain(8))
+        assert count == 1 + 8 + 8 * 2**7
+        assert (len(sets), len(covers)) == (256, 8 * 2**7)
+
+    def test_a_cascade_has_one_principal(self, monkeypatch):
+        g = cascade(40)
+        count, lattice_of_g = self._saturations(monkeypatch, g)
+        assert count == 42
+        assert lattice_of_g == ([frozenset(), frozenset(g.vertices)], [(0, 1)])
