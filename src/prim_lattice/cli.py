@@ -144,9 +144,8 @@ _COMMANDS = {
     ),
     "from-hull": (
         "rebuild an ideal pair from its hull",
-        # the reader's closedness check already computes the kernel
-        lambda g, kernel: jsonio.pair_to_json(kernel),
-        ("-H", "--hull", "hull JSON", "hull_kernel_from_json"),
+        lambda g, shape: jsonio.pair_to_json(_module("lattice").hull_to_pair(g, shape)),
+        ("-H", "--hull", "hull JSON", "hull_from_json"),
     ),
     "closure": (
         "closure membership for primitives",

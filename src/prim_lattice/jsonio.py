@@ -257,15 +257,6 @@ def hull_from_json(graph: DirectedGraph, data) -> Hull:
     ones.  The closure holds the shape, and lists every tail the shape
     covers once, so that makes the two equal up to order.
     """
-    return _closed_hull(graph, data)[0]
-
-
-def hull_kernel_from_json(graph: DirectedGraph, data) -> IdealPair:
-    """The kernel of the hull :func:`hull_from_json` decodes, as its check computed it."""
-    return _closed_hull(graph, data)[1]
-
-
-def _closed_hull(graph: DirectedGraph, data) -> tuple[Hull, IdealPair]:
     from .lattice import Hull, HullEntry, hull, hull_to_pair
 
     if not isinstance(data, list):
@@ -284,14 +275,13 @@ def _closed_hull(graph: DirectedGraph, data) -> tuple[Hull, IdealPair]:
         entries.append(HullEntry(tail, closed_set_from_json(item["allowed"])))
     shape = Hull(tuple(entries))
     given = set(entries)
-    kernel = hull_to_pair(graph, shape)
-    for entry in hull(graph, kernel).entries:
+    for entry in hull(graph, hull_to_pair(graph, shape)).entries:
         if entry not in given:
             tail = excerpt(str(sorted(entry.tail.vertices)))
             raise MalformedHullError(
                 f"the strata are not a closed set: the closure changes the stratum of tail {tail}"
             )
-    return shape, kernel
+    return shape
 
 
 def strata_to_json(strata) -> list:

@@ -7,8 +7,8 @@ kernel that scans the whole graph fails, and one that reads the large
 part shows up in the log.  The walks, Tarjan and the tail check read
 those tables, never the per-step accessors.  ``hull`` builds the tails
 of the strata it returns and no other, and ``hull_to_pair`` those of the
-strata it is given.  ``from-hull`` takes the kernel once, and the gauge
-lattice joins each set only with the least principal closures outside it.
+strata it is given.  The gauge lattice joins each set only with the
+least principal closures outside it.
 """
 
 from __future__ import annotations
@@ -45,9 +45,8 @@ from prim_lattice import (
     saturated_hereditary_closure,
     saturated_hereditary_lattice,
     validate,
-    zero_ideal,
 )
-from prim_lattice import cli, jsonio, lattice, oracle, tails
+from prim_lattice import lattice, oracle, tails
 from prim_lattice import graph as graph_module
 from prim_lattice.tails import cycle_index, cycles_outside
 from fixtures import antichain, cascade, fixture_graphs
@@ -387,35 +386,6 @@ class TestHullToPairBuildsOnlyItsStrata:
                         kept.insert(at, HullEntry(fake, ClosedCircleSet.full()))
                 sub = Hull(tuple(kept))
                 assert _outcome(hull_to_pair, g, sub) == _outcome(_kernel_by_enumeration, g, sub)
-
-
-class TestFromHullTakesItsKernelOnce:
-    """``from-hull`` prints the kernel its reader's closedness check computed,
-    so each given stratum's tail is built three times: once decoded, once in
-    the kernel and once in the kernel's hull, and not again for the answer."""
-
-    CHAIN = [f"v{i:02d}" for i in range(12)]
-
-    def test_three_builds_per_stratum_on_a_chain(self, monkeypatch, capsys):
-        g = validate(DirectedGraph(self.CHAIN, _chain_edges(self.CHAIN)))
-        zero = zero_ideal(g)
-        shape = hull(g, zero)
-        built = []
-        build = tails._tail_at
-
-        def counted(graph, index, position):
-            built.append(position)
-            return build(graph, index, position)
-
-        # ``lattice`` binds its own name for the builder
-        for module in (tails, lattice):
-            monkeypatch.setattr(module, "_tail_at", counted)
-        graph_json = jsonio.canonical_dumps(jsonio.graph_to_json(g))
-        hull_json = jsonio.canonical_dumps(jsonio.hull_to_json(shape))
-        assert cli.main(["from-hull", "-g", graph_json, "-H", hull_json]) == 0
-        assert capsys.readouterr().out == jsonio.canonical_dumps(jsonio.pair_to_json(zero)) + "\n"
-        # the kernel taken again for the answer made it 48
-        assert len(shape.entries) == 12 and len(built) == 36
 
 
 class TestGaugeLatticeJoinsMinimalPrincipals:

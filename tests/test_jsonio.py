@@ -246,29 +246,6 @@ class TestLatticeCodecs:
                         jsonio.hull_from_json(g, data)
         assert seen == {True, False}
 
-    def test_hull_kernel_reader_is_the_kernel_of_the_decoded_hull(self):
-        rng, graphs = _corpus(seed=193, count=30)
-        for g in graphs:
-            for _ in range(6):
-                pair = random_ideal_pair(rng, g)
-                data = jsonio.hull_to_json(hull(g, pair))
-                # the kernel of a hull is the pair it came from
-                assert jsonio.hull_kernel_from_json(g, data) == pair
-                assert hull_to_pair(g, jsonio.hull_from_json(g, data)) == pair
-        open_shape = [{"tail": {"vertices": ["u", "v"]}, "allowed": {"points": ["0"]}}]
-        for g, data in [
-            (g_flow, {"tail": {}}),
-            (g_flow, [{"tail": {"vertices": ["v"]}}]),
-            (g_flow, [{"tail": {"vertices": ["u"]}, "allowed": "full"}]),
-            (g_flow, open_shape),
-            (g_double, [{"tail": {"vertices": ["v"]}, "allowed": "full"}]),
-        ]:
-            with pytest.raises(MalformedHullError) as decoded:
-                jsonio.hull_from_json(g, data)
-            with pytest.raises(MalformedHullError) as kernel:
-                jsonio.hull_kernel_from_json(g, data)
-            assert str(kernel.value) == str(decoded.value)
-
     def test_strata_shape(self):
         data = jsonio.strata_to_json(enumerate_primitive_strata(g_double))
         assert data == [

@@ -80,13 +80,7 @@ def tracer():
             {"jsonio.prim_from_json": 2},
             "lattice.closure_contains",
         ),
-        # the reader hands on the kernel its closedness check took, so the
-        # kernel is taken once; spans.py has no span for that reader yet
-        (
-            ["from-hull", "-g", G_LOOP, "-H", HULL],
-            {"jsonio.hull_from_json": 0, "lattice.hull_to_pair": 1},
-            "lattice.hull_to_pair",
-        ),
+        (["from-hull", "-g", G_LOOP, "-H", HULL], {"jsonio.hull_from_json": 1}, "lattice.hull_to_pair"),
         (["sat-hered", "-g", G_LOOP], {}, "graph.enumerate_saturated_hereditary"),
         (["gauge-lattice", "-g", G_LOOP], {}, "graph.hereditary_closure"),
         (["tails", "-g", G_LOOP], {}, "tails.is_maximal_tail"),
