@@ -178,21 +178,21 @@ def hereditary_closure(graph: DirectedGraph, subset: Iterable[str]) -> frozenset
     return _walk(graph, subset, graph._in, 0)
 
 
-def _saturation_fixpoint(graph: DirectedGraph, start: frozenset) -> frozenset:
-    """Least saturated superset of the hereditary set ``start``.
+def _saturation_fixpoint(graph: DirectedGraph, start: frozenset, inside=frozenset()) -> frozenset:
+    """Least saturated superset of the hereditary set ``start ∪ inside``,
+    where ``inside`` is already saturated (empty by default).
 
-    A range outside keeps a count of its in-edges whose source is not
-    yet known to be inside, read from the graph's in-degrees the first
-    time an edge reaches it.  Every vertex inside lowers the counts of
-    the ranges of its out-edges once, skipping ranges already inside,
-    and a vertex whose count reaches zero joins.  So a closure costs
-    O(|result| + out-edges of the result), however large the graph.  A
-    vertex joins only once all its feeders are inside, so the set stays
-    hereditary.
+    Only ``start − inside`` and what joins are walked, as a vertex fed
+    only from ``inside`` is in it.  A range outside counts its in-edges
+    whose source is not yet known to be inside: its in-degree, less its
+    in-edges from ``inside`` once first met.  Each walked vertex lowers
+    the counts of its out-edges' ranges, and a range whose count reaches
+    zero joins, so the set stays hereditary.  It costs O(|result − inside|
+    + their out-edges + in-edges of the ranges those reach).
     """
-    edges, in_degree = graph.edges, graph._in_degree
-    closure = set(start)
-    todo = list(closure)
+    edges, in_edges, in_degree = graph.edges, graph._in, graph._in_degree
+    closure = {*inside, *start}
+    todo = list(start - inside if inside else start)
     waiting = {}
     while todo:
         for e in graph._out[todo.pop()]:
@@ -200,6 +200,9 @@ def _saturation_fixpoint(graph: DirectedGraph, start: frozenset) -> frozenset:
             if r in closure:
                 continue
             waiting[r] = count = waiting.get(r, in_degree[r]) - 1
+            # counts only fall, so this is its first meeting, in a join
+            if count and inside and count == in_degree[r] - 1:
+                waiting[r] = count = count - sum(edges[f][0] in inside for f in in_edges[r])
             if not count:
                 closure.add(r)
                 todo.append(r)
@@ -224,41 +227,43 @@ def saturated_hereditary_lattice(
     The sets are sorted by size then members; each cover is a pair
     ``(i, j)`` of indices into them with set ``j`` covering set ``i``,
     and the covers are sorted.  The family grows from cl(∅) by joining
-    each set S found with the principal closures cl(v) that are minimal
-    among those S does not contain.  That reaches every cover T of S:
-    for v in T \\ S, a principal outside S that is minimal among those
-    below cl(v) is minimal among all outside S, and its join with S lies
-    in (S, T], so it is T.  So every set is reached through covers from
-    the bottom, and its upper covers are the minimal sets among its
-    joins.  Every closure starts from a hereditary set: the ancestors of
-    each vertex (V hereditary closures, D distinct sets among them) are
-    saturated once each, and a join ``S ∪ cl(v)`` is only saturated, so
-    a run makes 1 + D saturations plus one per set and minimal principal
-    outside it: 65 on a looped chain of 32 vertices, not the 561 of
-    joining every principal outside every set.
+    each set S found with each principal closure p = cl(v) minimal
+    outside S, every principal strictly below p lying in S.  Lemma: a
+    join with a minimal principal is a cover, distinct minimal
+    principals give distinct covers, and every cover is such a join.
+    The lattice is distributive (BHRS 2002), so by Birkhoff the covers
+    of S each add one join-irreducible minimal outside S, and those are
+    the principals minimal outside S, since every set is a join of
+    principals and a set below p joins principals below p, all in S.
+    Masks of the principals strictly below each one (``under``, once per
+    graph) and in each set (``held``, from the vertices its join added,
+    as the set holds cl(v) when it holds v) find them with bit
+    operations, and a join walks only p − S and what joins: 1 + D
+    saturations for the D distinct ancestor sets, then one per cover.
     """
-    ancestors = {hereditary_closure(graph, (v,)) for v in graph.vertices}
-    principals = {_saturation_fixpoint(graph, a) for a in ancestors}
+    ancestry = {v: hereditary_closure(graph, (v,)) for v in graph.vertices}
+    closed = {a: _saturation_fixpoint(graph, a) for a in set(ancestry.values())}
+    number = {}  # each distinct principal closure, numbered as first met
+    bit_of = {v: 1 << number.setdefault(closed[a], len(number)) for v, a in ancestry.items()}
+    under = [sum(1 << number[q] for q in number if q < p) for p in number]
+    # saturated from nothing, the bottom is empty and holds no principal
     bottom = _saturation_fixpoint(graph, frozenset())
-    position = {bottom: 0}
-    found = [bottom]
+    found = [(bottom, 0)]
+    seen = {bottom}
     covers = []
     # ``found`` grows while it is walked, so every set gets its turn
-    for low, below in enumerate(found):
-        outside = [p for p in principals if not p <= below]
-        least = [p for p in outside if not any(q < p for q in outside)]
-        joins = {_saturation_fixpoint(graph, below | p) for p in least}
-        minimal = []
-        for above in sorted(joins, key=len):
-            if above not in position:
-                position[above] = len(found)
-                found.append(above)
-            if not any(m < above for m in minimal):
-                minimal.append(above)
-                covers.append((low, position[above]))
-    ordered = sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
+    for below, held in found:
+        for p, i in number.items():
+            if not held >> i & 1 and not under[i] & ~held:
+                above = _saturation_fixpoint(graph, p, below)
+                if above not in seen:
+                    seen.add(above)
+                    # distinct one-bit masks sum to their union
+                    found.append((above, held | sum({bit_of[v] for v in above - below})))
+                covers.append((below, above))
+    ordered = sorted(seen, key=lambda s: (len(s), tuple(sorted(s))))
     rank = {s: i for i, s in enumerate(ordered)}
-    return ordered, sorted((rank[found[a]], rank[found[b]]) for a, b in covers)
+    return ordered, sorted((rank[s], rank[t]) for s, t in covers)
 
 
 def enumerate_saturated_hereditary(graph: DirectedGraph) -> list[frozenset]:

@@ -8,7 +8,8 @@ part shows up in the log.  The walks, Tarjan and the tail check read
 those tables, never the per-step accessors.  ``hull`` builds the tails
 of the strata it returns and no other, and ``hull_to_pair`` those of the
 strata it is given.  The gauge lattice joins each set only with the
-least principal closures outside it.
+least principal closures outside it, and a join reads the out-edges of
+the vertices it adds and of no other.
 """
 
 from __future__ import annotations
@@ -398,9 +399,9 @@ class TestGaugeLatticeJoinsMinimalPrincipals:
         saturated = []
         fixpoint = graph_module._saturation_fixpoint
 
-        def recorded(graph, start):
+        def recorded(graph, start, inside=frozenset()):
             saturated.append(start)
-            return fixpoint(graph, start)
+            return fixpoint(graph, start, inside)
 
         monkeypatch.setattr(graph_module, "_saturation_fixpoint", recorded)
         lattice_of_g = saturated_hereditary_lattice(g)
@@ -428,3 +429,56 @@ class TestGaugeLatticeJoinsMinimalPrincipals:
         count, lattice_of_g = self._saturations(monkeypatch, g)
         assert count == 42
         assert lattice_of_g == ([frozenset(), frozenset(g.vertices)], [(0, 1)])
+
+
+class _Counting(Recording):
+    """A recording view that also counts every lookup."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.count = 0
+
+    def __getitem__(self, key):
+        self.count += 1
+        return super().__getitem__(key)
+
+
+class TestSaturationReadsWhatItAdds:
+    """A saturation reads the out-edges of each vertex it adds to the set
+    already inside once, and of no other, so a join of a set with a
+    principal closure walks only what the join adds."""
+
+    @staticmethod
+    def _reads(monkeypatch, g):
+        """(out-edge lists read, |result − inside|) for each saturation the lattice makes."""
+        reads = []
+        out = _Counting(g._out)
+        fixpoint = graph_module._saturation_fixpoint
+
+        def recorded(graph, start, *inside):
+            before = out.count
+            result = fixpoint(graph, start, *inside)
+            reads.append((out.count - before, len(result.difference(*inside))))
+            return result
+
+        monkeypatch.setattr(g, "_out", out)
+        monkeypatch.setattr(graph_module, "_saturation_fixpoint", recorded)
+        saturated_hereditary_lattice(g)
+        monkeypatch.undo()
+        return reads
+
+    def test_a_chain_join_reads_one_vertex(self, monkeypatch):
+        ids = [f"v{i:03d}" for i in range(200)]
+        g = validate(DirectedGraph(ids, _chain_edges(ids)))
+        reads = self._reads(monkeypatch, g)
+        assert all(read == added for read, added in reads)
+        # the 200 principals and the bottom come first, then one join per
+        # cover, each adding one vertex; saturating each S ∪ p whole reads
+        # every vertex of the join, 20 100 in all
+        assert len(reads) == 1 + 200 + 200
+        assert sum(read for read, _ in reads[201:]) == 200
+
+    def test_an_antichain_join_reads_one_vertex(self, monkeypatch):
+        reads = self._reads(monkeypatch, antichain(8))
+        assert all(read == added for read, added in reads)
+        assert sum(read for read, _ in reads[9:]) == 8 * 2**7

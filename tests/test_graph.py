@@ -34,6 +34,7 @@ from prim_lattice import (
 from fixtures import antichain, cascade, g_double, g_flow, g_loop
 from prim_lattice import graph as graph_module
 from prim_lattice.oracle import brute_saturated_hereditary, random_graph
+from prim_lattice.tails import enumerate_maximal_tails
 
 
 def _corpus(seed=7, count=40):
@@ -247,13 +248,16 @@ class TestLatticeLaws:
                 assert saturated_hereditary_closure(g, sample) == frozenset.intersection(*supersets)
 
     def test_principals_are_the_closures_of_single_vertices(self, monkeypatch, law_graphs):
-        # every set the lattice saturates, keyed by the set it started from
+        # every set the lattice saturates from nothing already inside, keyed
+        # by the set it started from
         saturated = {}
         fixpoint = graph_module._saturation_fixpoint
 
-        def recorded(graph, start):
-            saturated[start] = fixpoint(graph, start)
-            return saturated[start]
+        def recorded(graph, start, inside=frozenset()):
+            closed = fixpoint(graph, start, inside)
+            if not inside:
+                saturated[start] = closed
+            return closed
 
         monkeypatch.setattr(graph_module, "_saturation_fixpoint", recorded)
         for g, brute in law_graphs:
@@ -277,6 +281,106 @@ class TestLatticeLaws:
         assert saturated_hereditary_lattice(g) == ([frozenset(), frozenset(g.vertices)], [(0, 1)])
 
 
+# the vertex a subdivided edge passes through; no other id starts with "~"
+MIDPOINT = "~w"
+
+
+@pytest.fixture(scope="module")
+def large_lattices():
+    """Graphs past the oracle's 16-vertex guard with their lattices:
+    antichain(4..8), cascade(40..120) and 50 seeded ``random_graph`` draws
+    of 16 to 28 vertices with at least 1.5 edges per vertex (sparser draws
+    are mostly isolated loops, whose lattices double with each one)."""
+    graphs = [antichain(k) for k in range(4, 9)] + [cascade(n) for n in range(40, 121, 10)]
+    rng = random.Random(41)
+    drawn = 0
+    while drawn < 50:
+        g = random_graph(rng, max_vertices=28, max_edges=84)
+        if len(g.vertices) >= 16 and 2 * len(g.edges) >= 3 * len(g.vertices):
+            graphs.append(g)
+            drawn += 1
+    return [(g, saturated_hereditary_lattice(g)) for g in graphs]
+
+
+def _disjoint_union(e, f):
+    """E and F side by side, every id prefixed with the graph it came from."""
+    vertices = [f"e.{v}" for v in e.vertices] + [f"f.{v}" for v in f.vertices]
+    edges = {f"e.{x}": (f"e.{s}", f"e.{r}") for x, (s, r) in e.edges.items()}
+    edges.update({f"f.{x}": (f"f.{s}", f"f.{r}") for x, (s, r) in f.edges.items()})
+    return DirectedGraph(vertices, edges)
+
+
+def _subdivided(g, edge):
+    """``g`` with ``edge`` u -> v replaced by u -> MIDPOINT -> v."""
+    u, v = g.edges[edge]
+    edges = {x: ends for x, ends in g.edges.items() if x != edge}
+    edges.update({f"{edge}~in": (u, MIDPOINT), f"{edge}~out": (MIDPOINT, v)})
+    return DirectedGraph([*g.vertices, MIDPOINT], edges)
+
+
+def _cover_pairs(sets, covers):
+    return {(sets[i], sets[j]) for i, j in covers}
+
+
+class TestLatticeLawsPastTheOracleGuard:
+    """The lattice's meaning on graphs the brute-force oracle cannot take,
+    checked from the definitions, the maximal tails and two constructions
+    whose lattices are known from the factors'."""
+
+    def test_every_set_is_hereditary_and_saturated(self, large_lattices):
+        for g, (sets, _) in large_lattices:
+            feeders = {v: [s for s, r in g.edges.values() if r == v] for v in g.vertices}
+            for h in sets:
+                # hereditary: an edge into the set comes from inside it
+                assert all(s in h for s, r in g.edges.values() if r in h)
+                # saturated: a vertex outside has a feeder outside
+                assert all(any(s not in h for s in feeders[v]) for v in g.vertices if v not in h)
+
+    def test_sets_are_the_complements_of_the_unions_of_maximal_tails(self, large_lattices):
+        for g, (sets, _) in large_lattices:
+            unions = {frozenset()}
+            for tail in enumerate_maximal_tails(g):
+                unions |= {u | tail.vertices for u in unions}
+            assert len(set(sets)) == len(sets)
+            assert set(sets) == {frozenset(g.vertices) - u for u in unions}
+
+    def test_every_cover_is_a_hasse_cover(self, large_lattices):
+        for g, (sets, covers) in large_lattices:
+            for i, j in covers:
+                # the sets are sorted by size, so any set between lies between i and j
+                assert sets[i] < sets[j]
+                assert not any(sets[i] < h < sets[j] for h in sets[i + 1 : j])
+
+    def test_a_disjoint_union_is_a_product(self, large_lattices):
+        # each graph beside the next, where the product stays small
+        for (e, (e_sets, e_covers)), (f, (f_sets, f_covers)) in zip(
+            large_lattices, large_lattices[1:]
+        ):
+            if len(e_sets) * len(f_sets) > 256:
+                continue
+            sets, covers = saturated_hereditary_lattice(_disjoint_union(e, f))
+            assert len(sets) == len(e_sets) * len(f_sets)
+            assert len(covers) == len(e_covers) * len(f_sets) + len(e_sets) * len(f_covers)
+            assert set(sets) == {
+                frozenset(f"e.{v}" for v in a) | frozenset(f"f.{v}" for v in b)
+                for a in e_sets
+                for b in f_sets
+            }
+
+    def test_subdividing_an_edge_keeps_the_lattice(self, large_lattices):
+        rng = random.Random(47)
+        for g, (sets, covers) in large_lattices:
+            edge = rng.choice(sorted(g.edges))
+            u = g.edges[edge][0]
+            more_sets, more_covers = saturated_hereditary_lattice(_subdivided(g, edge))
+            # the midpoint is inside exactly when the source of the edge is
+            assert all((MIDPOINT in h) == (u in h) for h in more_sets)
+            dropped = [h - {MIDPOINT} for h in more_sets]
+            assert len(dropped) == len(sets)
+            assert set(dropped) == set(sets)
+            assert _cover_pairs(dropped, more_covers) == _cover_pairs(sets, covers)
+
+
 class TestEnumerationWork:
     """A closure count that does not depend on the host's speed."""
 
@@ -285,9 +389,9 @@ class TestEnumerationWork:
         calls = {"_saturation_fixpoint": 0, "hereditary_closure": 0}
         for name in calls:
 
-            def counted(graph, subset, name=name, closure=getattr(graph_module, name)):
+            def counted(graph, subset, *inside, name=name, closure=getattr(graph_module, name)):
                 calls[name] += 1
-                return closure(graph, subset)
+                return closure(graph, subset, *inside)
 
             monkeypatch.setattr(graph_module, name, counted)
         family = enumerate_saturated_hereditary(g)
@@ -296,19 +400,24 @@ class TestEnumerationWork:
         # every member is the result of one saturation, so none can go uncounted
         assert len(family) <= saturations
         assert hereditary <= len(g.vertices)
-        return saturations, len(family)
+        return saturations
+
+    @staticmethod
+    def _one_per_ancestor_set_and_cover(g):
+        """The bottom, each distinct ancestor set's closure, and one join per cover."""
+        ancestors = {hereditary_closure(g, (v,)) for v in g.vertices}
+        return 1 + len(ancestors) + len(saturated_hereditary_lattice(g)[1])
 
     @pytest.mark.parametrize("g", [antichain(10), cascade(60)], ids=["antichain-10", "cascade-60"])
     def test_at_most_one_closure_per_set_and_vertex(self, monkeypatch, g):
-        closures, size = self._closures(monkeypatch, g)
-        assert closures <= 1 + len(g.vertices) + size * len(g.vertices)
+        # exactly 1 + D + covers, within the old bound of 1 + V + L·V
+        assert self._closures(monkeypatch, g) == self._one_per_ancestor_set_and_cover(g)
 
     def test_bound_on_random_graphs(self, monkeypatch):
         rng = random.Random(37)
         for _ in range(30):
             g = random_graph(rng, max_vertices=16, max_edges=40)
-            closures, size = self._closures(monkeypatch, g)
-            assert closures <= 1 + len(g.vertices) + size * len(g.vertices)
+            assert self._closures(monkeypatch, g) == self._one_per_ancestor_set_and_cover(g)
 
 
 class TestSubgraphAndReach:
