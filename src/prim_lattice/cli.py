@@ -1,12 +1,12 @@
 """Command line front end.
 
-Every data flag takes a file path, ``@-`` for standard input, or inline
-JSON (anything starting with ``{``, ``[`` or ``"``).  Output is one
-canonical JSON document on stdout; diagnostics go to stderr.  Exit
-codes: 0 success, 1 domain error (a GraphAlgebraError, nothing else), 2
-usage error, 3 oracle mismatch, 4 internal error (a bug in this package,
-any other ValueError included; its traceback goes to stderr), 141 (128 +
-SIGPIPE) stdout closed before the output was written, nothing on stderr.
+Every data flag takes a file path, ``@-`` for standard input (one flag
+at most), or inline JSON (anything starting with ``{``, ``[`` or ``"``).
+Output is one canonical JSON document on stdout; diagnostics go to
+stderr.  Exit codes: 0 success, 1 domain error (a GraphAlgebraError,
+nothing else), 2 usage error, 3 oracle mismatch, 4 internal error (a
+bug here, any other ValueError included; its traceback goes to stderr),
+141 (128 + SIGPIPE) stdout closed before the output, nothing on stderr.
 
 A run loads only what its command uses.  A well-formed command line is
 read straight from the command table and never imports ``argparse``
@@ -267,6 +267,10 @@ def main(argv=None) -> int:
             return 0 if err.code in (0, None) else 2
     _, payload_of, *flags = _COMMANDS[args["command"]]
     try:
+        # stdin holds one document: a second "@-" would read an empty stream
+        piped = ["/".join(n) for *n, _, _ in [_GRAPH, *flags] if args[_dest(n)] == "@-"]
+        if len(piped) > 1:
+            raise UsageError(f"only one flag can read '@-' (stdin), not {' and '.join(piped)}")
         graph = jsonio.graph_from_json(_load_json(args["graph"]))
         values = []
         for *names, _, reader in flags:

@@ -41,19 +41,24 @@ class DirectedGraph:
     """A finite directed graph with named edges.
 
     ``edges`` may be a mapping ``id -> (source, range)`` or an iterable of
-    ``(id, source, range)`` triples, all ids strings.  Instances are
-    immutable by convention; all derived data is precomputed here, except
-    the cycle index of :mod:`.tails`, which is built on first use.
-    Construction rejects other ids and a duplicate edge id, then runs
-    :func:`validate`: every graph is nonempty, with no dangling endpoint or source.
+    ``(id, source, range)`` triples, all ids strings.  Instances are immutable
+    by convention, and all derived data but the lazy cycle index of :mod:`.tails`
+    is precomputed.  Construction rejects other ids; then ``_fill``, the one table
+    builder, which the JSON reader shares, rejects a short row and a duplicate edge
+    id, in id order, and runs :func:`validate`: nonempty, no dangling endpoint or source.
     """
 
     def __init__(self, vertices: Iterable[str], edges=()) -> None:
-        self.vertices = tuple(sorted(set(_string_ids(vertices, "a graph's vertices"))))
+        ids = set(_string_ids(vertices, "a graph's vertices"))
         if isinstance(edges, Mapping):
             edges = [(e, *_ordered_ids(ends, "an edge's ends")) for e, ends in edges.items()]
+        self._fill(ids, [tuple(_ordered_ids(row, "an edge")) for row in edges])
+
+    def _fill(self, vertices, rows) -> DirectedGraph:
+        """Build the tables from distinct string vertex ids and string id rows; return ``self``."""
+        self.vertices = tuple(sorted(vertices))
         table = {}
-        for row in sorted(tuple(_ordered_ids(row, "an edge")) for row in edges):
+        for row in sorted(rows):
             if len(row) != 3:
                 raise GraphAlgebraError(
                     f"an edge must be an (id, source, range) triple: {excerpt(repr(row))}"
@@ -74,6 +79,7 @@ class DirectedGraph:
         # a saturation closure reads the in-degree of each range it reaches
         self._in_degree = {v: len(es) for v, es in ins.items()}
         self._cycle_index = None
+        return self
 
     def src(self, edge: str) -> str:
         return self.edges[edge][0]

@@ -4,8 +4,8 @@ Printing followed by parsing is the identity on canonical values, and
 printing is deterministic: keys are sorted and all orderings are the
 canonical ones chosen by the constructing modules.  Parsing is strict:
 lists must be JSON arrays, vertex and edge ids distinct JSON strings,
-angles fraction strings or integers, and an object may hold no key its
-reader does not know.
+angles fraction strings or integers, and no object may hold a key its
+reader does not know.  A graph's ids are checked once, then built once.
 """
 
 from __future__ import annotations
@@ -80,27 +80,37 @@ def graph_to_json(graph: DirectedGraph) -> dict:
 
 
 def graph_from_json(data) -> DirectedGraph:
+    """Check a graph document inline, each id once, then build the graph from
+    the checked ids.  ``_keys`` and ``_ids`` run only to word a failed check;
+    the inline type test is exact, and ``_ids`` lets a ``str`` subclass pass."""
     if not isinstance(data, dict):
         raise GraphAlgebraError("graph JSON must be an object")
     edges = data.get("edges", [])
     if not isinstance(edges, list) or not all(
-        isinstance(entry, dict) and {"id", "src", "rng"} <= entry.keys() for entry in edges
+        isinstance(entry, dict) and "id" in entry and "src" in entry and "rng" in entry
+        for entry in edges
     ):
         raise GraphAlgebraError(
             "'edges' must be an array of objects with 'id', 'src' and 'rng' fields"
         )
-    _keys(data, ("vertices", "edges"), "graph JSON")
+    if data.keys() - {"vertices", "edges"}:
+        _keys(data, ("vertices", "edges"), "graph JSON")
     rows = []
     for entry in edges:
-        _keys(entry, ("id", "src", "rng"), "an edge")
-        rows.append(_ids([entry["id"], entry["src"], entry["rng"]], "an edge"))
-    vertices = _ids(data.get("vertices", []), "'vertices'")
+        row = eid, src, rng = entry["id"], entry["src"], entry["rng"]
+        if len(entry) != 3 or not type(eid) is type(src) is type(rng) is str:
+            _keys(entry, ("id", "src", "rng"), "an edge")
+            _ids(list(row), "an edge")
+        rows.append(row)
+    vertices = data.get("vertices", [])
+    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+        _ids(vertices, "'vertices'")
     seen = set()
     for v in vertices:
         if v in seen:
             raise GraphAlgebraError(f"duplicate vertex id {excerpt(repr(v))}")
         seen.add(v)
-    return DirectedGraph(vertices, rows)
+    return DirectedGraph.__new__(DirectedGraph)._fill(seen, rows)
 
 
 def open_set_to_json(value: OpenCircleSet):

@@ -6,6 +6,7 @@ Graphs are immutable, so these are shared module-level constants.
 from __future__ import annotations
 
 import itertools
+import random
 
 from prim_lattice.graph import DirectedGraph, validate
 
@@ -32,6 +33,24 @@ def antichain(k: int) -> DirectedGraph:
     """k disjoint loops, so the gauge lattice is the Boolean lattice on k points."""
     ids = [f"v{i:02d}" for i in range(k)]
     return validate(DirectedGraph(ids, {f"e{v}": (v, v) for v in ids}))
+
+
+def chain(n: int) -> DirectedGraph:
+    """Looped vertices, each feeding the next: n nested cyclic tails."""
+    ids = [f"v{i:03d}" for i in range(n)]
+    edges = {f"loop-{v}": (v, v) for v in ids}
+    edges.update({f"step-{v}": (v, w) for v, w in zip(ids, ids[1:])})
+    return validate(DirectedGraph(ids, edges))
+
+
+def random_flow(n: int, m: int, seed: int) -> DirectedGraph:
+    """m seeded uniform edges on n vertices, then a loop on every unfed vertex."""
+    rng = random.Random(f"random_flow:{n}:{m}:{seed}")
+    ids = [f"v{i:03d}" for i in range(n)]
+    edges = {f"e{j:04d}": (rng.choice(ids), rng.choice(ids)) for j in range(m)}
+    fed = {r for _, r in edges.values()}
+    edges.update({f"loop-{v}": (v, v) for v in ids if v not in fed})
+    return validate(DirectedGraph(ids, edges))
 
 
 def cascade(n: int) -> DirectedGraph:

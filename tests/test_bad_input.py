@@ -363,3 +363,109 @@ def test_malformed_input_sweep():
         rejected += 1
     # a sweep whose mutants were mostly valid would test little
     assert rejected >= 1800
+
+
+def _doc(vertices, *edges, **more) -> dict:
+    """A graph document; each edge given as a triple becomes its object."""
+    rows = [dict(zip(("id", "src", "rng"), e)) if isinstance(e, tuple) else e for e in edges]
+    return {"vertices": vertices, "edges": rows, **more}
+
+
+class TestWhichGraphErrorWins:
+    """Input with several faults names the one its checks meet first.
+
+    The constructor checks every id's type in input order, then each row's
+    shape and each edge id's uniqueness in edge-id order, then validates.
+    The reader checks the edge array's shape, the document's keys, each
+    edge's keys and ids in input order, then the vertices, then builds.
+    """
+
+    @pytest.mark.parametrize(
+        "vertices, edges, message",
+        [
+            (["u", "u", 5], [("a", "u", "u")], "a graph's vertices must list string ids: ['u', 'u', 5]"),
+            (
+                ["u", "u"],
+                [("a", "u", "u"), ("a", "u", "u"), ("b", "u", 5)],
+                "an edge must list string ids: ('b', 'u', 5)",
+            ),
+            (["u"], [("b", "u", "u"), ("b", "u", "u"), ("a", "u", "x")], "duplicate edge id 'b'"),
+            (
+                ["u"],
+                [("b", "u", "u"), ("b", "u", "u"), ("a", "u")],
+                "an edge must be an (id, source, range) triple: ('a', 'u')",
+            ),
+            (["u"], [("a", "u", "u"), ("a", "u", "u"), ("b", "u")], "duplicate edge id 'a'"),
+            (["u"], [("a", "u"), ("b", "u", 7)], "an edge must list string ids: ('b', 'u', 7)"),
+            (
+                ["u", 5],
+                {"a": ("u", "x"), "b": ("u", 6)},
+                "a graph's vertices must list string ids: ['u', 5]",
+            ),
+            (["u"], {"b": ("u", "x"), "a": ("y", "u")}, "edge 'a' references an undeclared vertex"),
+            (["w", "u"], [("b", "u", "x"), ("b", "u", "u")], "duplicate edge id 'b'"),
+            (
+                [],
+                [("b", "u", "x"), ("a", "u")],
+                "an edge must be an (id, source, range) triple: ('a', 'u')",
+            ),
+        ],
+        ids=[
+            "vertex-type-before-duplicate", "edge-type-before-duplicate-id",
+            "duplicate-id-before-dangling", "short-row-before-duplicate-id",
+            "duplicate-id-before-short-row", "any-type-before-a-short-row",
+            "vertex-type-before-end-type", "least-dangling-edge-id",
+            "duplicate-id-before-source", "short-row-before-emptiness",
+        ],
+    )
+    def test_constructor(self, vertices, edges, message):
+        with pytest.raises(GraphAlgebraError) as err:
+            prim_lattice.DirectedGraph(vertices, edges)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            (_doc(["u", "u", 5], ("a", "u", "u")), "'vertices' holds 5, but ids must be JSON strings"),
+            (_doc(["u", "u"], (5, "u", "u")), "an edge holds 5, but ids must be JSON strings"),
+            (
+                _doc(["u"], ("b", "u", "u"), ("b", "u", "u"), ("a", "u", "x")),
+                "duplicate edge id 'b'",
+            ),
+            (
+                _doc(["u"], {"id": "a", "src": "u"}, ("b", "u", "u"), ("b", "u", "u")),
+                "'edges' must be an array of objects with 'id', 'src' and 'rng' fields",
+            ),
+            (
+                _doc(["u"], ("a", "u", 5), {"id": "b", "src": "u", "rng": "u", "x": 1}),
+                "an edge holds 5, but ids must be JSON strings",
+            ),
+            (
+                _doc(["u"], {"id": "a", "src": "u", "rng": "u", "x": 1}, ("b", "u", 5)),
+                "an edge has an unknown key 'x'",
+            ),
+            (
+                _doc(["u"], (5, "u", "u"), {"id": "b"}),
+                "'edges' must be an array of objects with 'id', 'src' and 'rng' fields",
+            ),
+            (_doc([5], (5, "u", "u"), x=1), "graph JSON has an unknown key 'x'"),
+            (_doc(["u", "u"], ("a", "u", "x"), ("b", "w", "w")), "duplicate vertex id 'u'"),
+            (_doc(["u", "w"], ("b", "u", "x"), ("a", "w", "w")), "edge 'b' references an undeclared vertex"),
+            (_doc("uv", ("a", "u", "u"), ("a", "u", "u")), "'vertices' must be a JSON array, not str"),
+            (_doc([], ("a", "u", "u"), ("a", "u", "u")), "duplicate edge id 'a'"),
+        ],
+        ids=[
+            "vertex-type-before-duplicate", "edge-type-before-duplicate-vertex",
+            "duplicate-id-before-dangling", "missing-field-before-duplicate-id",
+            "earlier-edge-type-before-unknown-key", "earlier-unknown-key-before-edge-type",
+            "missing-field-before-edge-type", "document-key-before-every-id",
+            "duplicate-vertex-before-dangling", "dangling-before-source",
+            "vertices-array-before-duplicate-id", "duplicate-id-before-emptiness",
+        ],
+    )
+    def test_reader(self, document, message):
+        with pytest.raises(GraphAlgebraError) as err:
+            graph_from_json(document)
+        assert str(err.value) == message
+        code, out, err_line = run("validate", "-g", document)
+        assert (code, out, err_line) == (1, "", f"error: {message}\n")

@@ -9,7 +9,8 @@ those tables, never the per-step accessors.  ``hull`` builds the tails
 of the strata it returns and no other, and ``hull_to_pair`` those of the
 strata it is given.  The gauge lattice joins each set only with the
 least principal closures outside it, and a join reads the out-edges of
-the vertices it adds and of no other.
+the vertices it adds and of no other.  A graph read from JSON has each
+id checked once, by the reader, and is validated once.
 """
 
 from __future__ import annotations
@@ -47,10 +48,10 @@ from prim_lattice import (
     saturated_hereditary_lattice,
     validate,
 )
-from prim_lattice import lattice, oracle, tails
+from prim_lattice import jsonio, lattice, oracle, tails
 from prim_lattice import graph as graph_module
 from prim_lattice.tails import cycle_index, cycles_outside
-from fixtures import antichain, cascade, fixture_graphs
+from fixtures import antichain, cascade, fixture_graphs, random_flow
 
 
 class Recording(Mapping):
@@ -482,3 +483,48 @@ class TestSaturationReadsWhatItAdds:
         reads = self._reads(monkeypatch, antichain(8))
         assert all(read == added for read, added in reads)
         assert sum(read for read, _ in reads[9:]) == 8 * 2**7
+
+
+class TestEachIdCheckedOnce:
+    """The JSON reader checks every id itself and hands them to the graph's
+    builder, so the constructor's per-row checks never run again."""
+
+    @staticmethod
+    def _calls(monkeypatch, read, names):
+        calls = dict.fromkeys(names, 0)
+
+        def counting(name, function):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return counted
+
+        for name in names:
+            monkeypatch.setattr(graph_module, name, counting(name, getattr(graph_module, name)))
+        result = read()
+        monkeypatch.undo()
+        return calls, result
+
+    def test_decoding_checks_no_id_twice(self, monkeypatch):
+        g = random_flow(28, 56, 0)
+        document = jsonio.graph_to_json(g)
+        calls, decoded = self._calls(
+            monkeypatch,
+            lambda: jsonio.graph_from_json(document),
+            ["_string_ids", "_ordered_ids", "validate"],
+        )
+        assert decoded == g
+        # checking each row again in the constructor made 1 + E and E
+        assert calls == {"_string_ids": 0, "_ordered_ids": 0, "validate": 1}
+
+    def test_the_constructor_checks_each_row_once(self, monkeypatch):
+        g = random_flow(28, 56, 0)
+        rows = [(e, *ends) for e, ends in g.edges.items()]
+        calls, built = self._calls(
+            monkeypatch,
+            lambda: DirectedGraph(g.vertices, rows),
+            ["_ordered_ids", "validate"],
+        )
+        assert built == g
+        assert calls == {"_ordered_ids": len(rows), "validate": 1}

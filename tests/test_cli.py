@@ -252,6 +252,31 @@ class TestInputConventions:
         assert code == 0
         assert out.strip() == FLOW_TAILS
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["leq", "-g", "@-", "-p", "@-", "-q", "x"], "-g/--graph and -p/--first"),
+            # spelt so that argparse reads it, not the command table
+            (["leq", "--graph=@-", "-p", "x", "--second", "@-"], "-g/--graph and -q/--second"),
+            (["closure", "-g", "@-", "-X", "@-", "-t", "@-"], "-g/--graph and -X/--prims and -t/--target"),
+            (["hull", "-g", "@-", "-p", "@-"], "-g/--graph and -p/--pair"),
+        ],
+        ids=["table", "argparse", "three", "hull"],
+    )
+    def test_stdin_marker_on_two_flags_is_a_usage_error(self, capsys, monkeypatch, argv, named):
+        # stdin holds one document, so a second reader would get an empty stream
+        stdin = io.StringIO(G_LOOP)
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: only one flag can read '@-' (stdin), not {named}\n"
+        assert stdin.tell() == 0
+
+    def test_stdin_marker_on_a_later_flag(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(LOOP_PAIR))
+        code, out, _ = run(capsys, "leq", "-g", G_LOOP, "-p", LOOP_PAIR, "-q", "@-")
+        assert (code, out) == (0, '{"leq":true}\n')
+
     def test_file_path(self, capsys, tmp_path):
         path = tmp_path / "graph.json"
         path.write_text(G_FLOW, encoding="utf-8")

@@ -10,6 +10,7 @@ import pytest
 
 from prim_lattice import (
     ClosedCircleSet,
+    DirectedGraph,
     Hull,
     HullEntry,
     MalformedHullError,
@@ -29,7 +30,9 @@ from prim_lattice import (
     random_proper_open_set,
 )
 from prim_lattice import jsonio
-from fixtures import fixture_graphs, g_double, g_flow, g_loop
+from fixtures import (
+    antichain, cascade, chain, fixture_graphs, g_double, g_flow, g_loop, random_flow,
+)
 
 
 def _corpus(seed, count=10):
@@ -63,6 +66,56 @@ class TestGraphCodec:
             jsonio.graph_from_json({"vertices": ["v"], "edges": [{"id": "a"}]})
         with pytest.raises(ValueError, match="'id', 'src' and 'rng'"):
             jsonio.graph_from_json({"vertices": ["v"], "edges": None})
+
+
+def _tables(graph) -> list:
+    """Everything a graph's builder makes, each table in its dict order."""
+    return [
+        graph.vertices,
+        *(list(table.items()) for table in (graph.edges, graph._in, graph._out, graph._in_degree)),
+    ]
+
+
+def _literal_tables(vertices, rows) -> list:
+    """The tables :func:`_tables` reads, as the builder's contract states them."""
+    edges = sorted(rows)
+    ins = [(v, tuple(e for e, _, r in edges if r == v)) for v in sorted(vertices)]
+    outs = [(v, tuple(e for e, s, _ in edges if s == v)) for v in sorted(vertices)]
+    degrees = [(v, len(es)) for v, es in ins]
+    return [tuple(sorted(vertices)), [(e, (s, r)) for e, s, r in edges], ins, outs, degrees]
+
+
+class TestOneBuilderBehindBothEntryPoints:
+    """The JSON reader and the public constructor build the same tables."""
+
+    @staticmethod
+    def _graphs():
+        yield from (chain(12), antichain(6), cascade(9))
+        yield from (random_flow(n, 2 * n, seed) for n in (5, 17, 28) for seed in range(2))
+        rng = random.Random("one builder")
+        for _ in range(200):
+            yield random_graph(rng, max_vertices=8, max_edges=16)
+
+    def test_same_tables(self):
+        rng = random.Random(7)
+        for g in self._graphs():
+            rows = [(e, s, r) for e, (s, r) in g.edges.items()]
+            rng.shuffle(rows)
+            vertices = list(g.vertices)
+            rng.shuffle(vertices)
+            document = jsonio.graph_to_json(g)
+            rng.shuffle(document["edges"])
+            rng.shuffle(document["vertices"])
+            built = [
+                jsonio.graph_from_json(jsonio.graph_to_json(g)),
+                jsonio.graph_from_json(document),
+                DirectedGraph(g.vertices, rows),
+                DirectedGraph(vertices, {e: (s, r) for e, s, r in reversed(rows)}),
+            ]
+            expected = _literal_tables(vertices, rows)
+            for graph in built:
+                assert type(graph) is DirectedGraph and graph._cycle_index is None
+                assert _tables(graph) == expected, g
 
 
 class TestCircleCodecs:
